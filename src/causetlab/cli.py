@@ -2,7 +2,9 @@
 
 Exit codes: 0 means completed with everything checked passing; 1 means
 completed but violations or findings were reported (on stdout as JSON);
-2 means usage or input error (one-line diagnostic on stderr).
+2 means usage or input error (one-line diagnostic on stderr); 3 means an
+internal consistency failure, which is an implementation bug and never a
+finding (one-line "internal consistency failure:" diagnostic on stderr).
 
 All randomness flows through seed flags, reports carry no clocks or machine
 state, and JSON is emitted with sorted keys, so identical invocations print
@@ -18,7 +20,7 @@ import json
 import sys
 
 from . import theorems as theorem_suites
-from .errors import LabError
+from .errors import InternalConsistencyError, LabError
 from .hunter import FILTERS, SearchConfig, hunt
 from .measure import find_ccs, is_ccs, is_common_cause
 from .modelio import (
@@ -373,6 +375,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
+    except InternalConsistencyError as exc:
+        print(f"causetlab {args.command}: internal consistency failure: {exc}", file=sys.stderr)
+        return 3
     except (LabError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"causetlab {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
 Input/usage problems raise subclasses of :class:`LabError`; the CLI maps them
-to exit code 2. Check *failures* (a violated principle, a non-qualifying
-partition) are never exceptions; they come back as verdict values.
+to exit code 2, except :class:`InternalConsistencyError` (an implementation
+bug), which it maps to exit code 3. Check *failures* (a violated principle,
+a non-qualifying partition) are never exceptions; they come back as verdict
+values.
 """
 
 from __future__ import annotations

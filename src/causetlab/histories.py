@@ -67,10 +67,10 @@ class HistorySpace:
             for h in range(self.size):
                 per_value[self._value(h, i)] |= 1 << h
             self._value_masks.append(per_value)
-        # For q == 2, flipping element i toggles bit i of the history index,
-        # so the flip acts on event masks by a masked shift of 2^(2^i) ... no:
-        # offset d = 2^i in index space; histories with digit 0 at i occupy
-        # the bit positions collected in _flip_low[i].
+        # For q == 2, flipping element i toggles bit i of the history index:
+        # history h with digit 0 at i swaps with h + 2^i. On event masks that
+        # is a shift by 2^i bit positions, each way, masked by _flip_low[i]
+        # (the histories with digit 0 at i).
         self._flip_low: list[int] = []
         if self.q == 2:
             for i in range(causet.n):
@@ -85,6 +85,8 @@ class HistorySpace:
                     perm.append(h - v * step + ((v + 1) % self.q) * step)
                 self._perms.append(perm)
         self._phi_cache: dict[Region, tuple[Event, ...]] = {}
+        # dom-axiom reports by (dom key, family size), filled by Model.build
+        self.axiom_reports: dict[tuple[object, int], DomAxiomReport] = {}
 
     def _value(self, h: int, i: int) -> int:
         return (h // (self.q ** i)) % self.q

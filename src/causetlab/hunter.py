@@ -22,9 +22,11 @@ worker count.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -326,8 +328,8 @@ def _hunt_causet(task: tuple[int, tuple[int, ...], SearchConfig]) -> dict:
         samples = []
         for principle in PRINCIPLES:
             verdict = matrix.verdicts[principle]
-            if verdict.witnesses:
-                sample = verdict.witnesses[0].to_json(model)
+            if not verdict.satisfied:
+                sample = next(verdict.iter_witnesses()).to_json(model)
                 sample["principle"] = principle
                 samples.append(sample)
         findings.append(
@@ -475,8 +477,17 @@ def _write_checkpoint(
         "models": models,
         "skipped_causets": skipped,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state, fh, sort_keys=True)
+    # write beside the checkpoint, then rename over it: a run that dies
+    # mid-write leaves the previous checkpoint whole
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(state, fh, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _read_checkpoint(path: str | None, config: SearchConfig) -> dict:

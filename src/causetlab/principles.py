@@ -15,8 +15,13 @@ treated as per-model empirical data, and `replicate_so1_to_so2` plus
 textbook derivation of SO2 from SO1, including the final set-coverage
 comparison that the derivation itself leaves open.
 
+Canonical doms are decided on pairs of Phi cells, explicit doms event by
+event (see `_eval_family`). A verdict keeps only the failing pairs and lists
+its witnesses, every failing event triple of the sweep, lazily from them.
+
 Verdicts are deterministic: identical model and caps give byte-identical
-reports, and every emitted witness re-evaluates to its recorded exact sides.
+reports. The matrix checker replays every recorded failing pair against the
+measure, and every witness it lists re-evaluates to its recorded exact sides.
 """
 
 from __future__ import annotations
@@ -24,7 +29,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property, partial
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 from .causet import Causet, Region, _popcount
 from .errors import (
@@ -69,6 +76,8 @@ class Caps:
             key = {"region": "region_size", "algebra": "algebra"}.get(key.strip())
             if key is None:
                 raise ValueError(f"unknown cap {part!r} (expected region=K,algebra=M)")
+            if int(value) < 0:
+                raise ValueError(f"cap {part!r} must be non-negative")
             kwargs[key] = int(value)
         return cls(**kwargs)
 
@@ -129,14 +138,10 @@ class Model:
             report = DomAxiomReport((), 0, 0, stamped="assumed-canonical")
         else:
             family = 2 if dom.is_canonical and axiom_policy == "auto" else 3
-            cache = getattr(space, "_axiom_reports", None)
-            if cache is None:
-                cache = space._axiom_reports = {}
             key = ("canonical" if dom.is_canonical else id(dom), family)
-            report = cache.get(key)
+            report = space.axiom_reports.get(key)
             if report is None:
-                report = check_dom_axioms(space, dom, family_size=family)
-                cache[key] = report
+                report = space.axiom_reports[key] = check_dom_axioms(space, dom, family_size=family)
         if not report.passed:
             if not force:
                 raise DomAxiomError(
@@ -180,15 +185,30 @@ def replay_witness(model: Model, w: Witness) -> tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
+Failure = tuple[Region, Region, Event, tuple[tuple[Event, Event], ...]]
+
+
 @dataclass(frozen=True)
 class Verdict:
+    """One principle on one model. `failures` holds (region_a, region_b,
+    screener, pairs) once per failing screener: the Phi cell pairs it fails
+    on (canonical doms) or its first failing event pair (explicit doms).
+    `witnesses`, every failing event triple in sweep order, is listed from
+    them on first access; `iter_witnesses()` yields them one at a time.
+    """
+
     principle: str
     satisfied: bool
     capped: bool
     counts: dict[str, int]
-    witnesses: tuple[Witness, ...]
+    failures: tuple[Failure, ...]
+    iter_witnesses: Callable[[], Iterator[Witness]] = field(repr=False, compare=False)
     zero_screeners: tuple[tuple[Region, Region, Event], ...] = ()
     axiom_warning: str | None = None
+
+    @cached_property
+    def witnesses(self) -> tuple[Witness, ...]:
+        return tuple(self.iter_witnesses())
 
     def to_json(self, model: Model) -> dict:
         c, s = model.causet, model.space
@@ -215,7 +235,7 @@ class Verdict:
 
 @dataclass
 class _FamilyOutcome:
-    failures: list[tuple[Event, Event, Event, Fraction, Fraction]] = field(default_factory=list)
+    failing: list[Failure] = field(default_factory=list)
     screeners: int = 0
     zero_screeners: list[Event] = field(default_factory=list)
     event_pairs: int = 0
@@ -233,17 +253,6 @@ class _PairOutcome:
     families: dict[str, _FamilyOutcome] = field(default_factory=dict)
 
 
-def _union_of(cells: Sequence[Event], subset: int) -> Event:
-    mask = 0
-    j = 0
-    while subset:
-        if subset & 1:
-            mask |= cells[j]
-        subset >>= 1
-        j += 1
-    return mask
-
-
 def _algebra_size(space: HistorySpace, region: Region, cap: int) -> int:
     k = space.q ** _popcount(region)
     if k > 1000:  # 2^k certainly beyond any sane cap
@@ -251,106 +260,79 @@ def _algebra_size(space: HistorySpace, region: Region, cap: int) -> int:
     return min(1 << k, cap)
 
 
-def _eval_family_canonical(
-    model: Model, ra: Region, rb: Region, screener_region: Region, cap: int
-) -> _FamilyOutcome:
-    """Screening sweep over Gamma(ra) x Gamma(rb) x Phi(screener_region).
-
-    Exploits the cell structure of canonical algebras: every event of
-    Gamma(R) is a union of Phi(R) cells, so all conditional products reduce
-    to subset sums over a |Phi(ra)| x |Phi(rb)| table of atom weights per
-    screener. Equalities are tested cross-multiplied; no divisions happen
-    until a witness is actually reported.
-    """
-    space, measure = model.space, model.measure
-    out = _FamilyOutcome()
-    cells_a = space.phi_cells(ra)
-    cells_b = space.phi_cells(rb)
-    ka, kb = len(cells_a), len(cells_b)
-    take_a = min(1 << ka, cap)
-    take_b = min(1 << kb, cap)
-    out.truncated = take_a < (1 << ka) or take_b < (1 << kb)
-    out.event_pairs = take_a * take_b
-    screeners = space.phi_cells(screener_region)
+def _screen_failures(
+    measure: MeasureTable, events_a: Sequence[Event], events_b: Sequence[Event], c: Event
+) -> Iterator[tuple[Event, Event, Fraction, Fraction]]:
+    """Every (A, B) in events_a x events_b that C (of positive measure) fails
+    to screen off, in row-major order, with mu(A&B|C) and mu(A|C) mu(B|C).
+    Tests are cross-multiplied; only a failure is divided out. This one loop
+    decides both dom routes and lists the witnesses of both."""
     prob = measure.prob
-    zero = Fraction(0)
-    for cell_c in screeners:
-        out.screeners += 1
-        pc = prob(cell_c)
-        if pc == 0:
-            out.zero_screeners.append(cell_c)
-            continue
-        atom = [[prob(cells_a[j] & cells_b[l] & cell_c) for l in range(kb)] for j in range(ka)]
-        row = [sum(atom[j], zero) for j in range(ka)]
-        col = [sum((atom[j][l] for j in range(ka)), zero) for l in range(kb)]
-        # subset sums over event encodings (event = union of its cells)
-        ras = [zero] * take_a
-        for s in range(1, take_a):
-            low = s & -s
-            ras[s] = ras[s ^ low] + row[low.bit_length() - 1]
-        rbs = [zero] * take_b
-        for s in range(1, take_b):
-            low = s & -s
-            rbs[s] = rbs[s ^ low] + col[low.bit_length() - 1]
-        vecs: list[list[Fraction]] = [[zero] * kb]
-        for sa in range(1, take_a):
-            low = sa & -sa
-            base = vecs[sa ^ low]
-            arow = atom[low.bit_length() - 1]
-            vecs.append([base[l] + arow[l] for l in range(kb)])
-        for sa in range(take_a):
-            vec = vecs[sa]
-            pa = ras[sa]
-            ab = [zero] * take_b
-            for sb in range(1, take_b):
-                low = sb & -sb
-                ab[sb] = ab[sb ^ low] + vec[low.bit_length() - 1]
-                out.tests += 1
-                if ab[sb] * pc != pa * rbs[sb]:
-                    out.failures.append((
-                        _union_of(cells_a, sa),
-                        _union_of(cells_b, sb),
-                        cell_c,
-                        ab[sb] / pc,
-                        (pa / pc) * (rbs[sb] / pc),
-                    ))
-            # sb = 0 (empty event B) screens identically; counted, not evaluated
-            out.tests += 1
-    return out
+    pc = prob(c)
+    pbs = [prob(b & c) for b in events_b]
+    for a in events_a:
+        ac = a & c
+        pa = prob(ac)
+        for b, pb in zip(events_b, pbs):
+            pab = prob(ac & b)
+            if pab * pc != pa * pb:
+                yield a, b, pab / pc, (pa / pc) * (pb / pc)
 
 
-def _eval_family_generic(
+def _eval_family(
     model: Model, ra: Region, rb: Region, screener_region: Region, cap: int
 ) -> _FamilyOutcome:
-    """Direct triple loop for user-supplied dom maps (small universes)."""
+    """Screening decision over Gamma(ra) x Gamma(rb) x Phi(screener_region).
+
+    Canonical doms: every event of Gamma(R) is a union of Phi(R) cells, and
+    mu(A&B&C) mu(C) - mu(A&C) mu(B&C) is bilinear in the cell indicators of
+    A and B, so C fails on some event pair iff it fails on a cell pair inside
+    it. Only cells whose singleton event (encoding 1 << j) lies in the capped
+    prefix of Gamma are used, so the decision is exact under any algebra cap.
+    Explicit doms: the direct loop over Gamma, up to each screener's first
+    failure. The counts are those of the full sweep either way.
+    """
     space, measure, dom = model.space, model.measure, model.dom
     out = _FamilyOutcome()
-    gam_a, trunc_a = gamma_capped(space, dom, ra, cap)
-    gam_b, trunc_b = gamma_capped(space, dom, rb, cap)
-    out.truncated = trunc_a or trunc_b
-    out.event_pairs = len(gam_a) * len(gam_b)
-    prob = measure.prob
+    if dom.is_canonical:
+        cells_a, cells_b = space.phi_cells(ra), space.phi_cells(rb)
+        take_a, take_b = _algebra_size(space, ra, cap), _algebra_size(space, rb, cap)
+        out.truncated = take_a < 1 << len(cells_a) or take_b < 1 << len(cells_b)
+        events_a = [cell for j, cell in enumerate(cells_a) if 1 << j < take_a]
+        events_b = [cell for l, cell in enumerate(cells_b) if 1 << l < take_b]
+    else:
+        events_a, trunc_a = gamma_capped(space, dom, ra, cap)
+        events_b, trunc_b = gamma_capped(space, dom, rb, cap)
+        take_a, take_b = len(events_a), len(events_b)
+        out.truncated = trunc_a or trunc_b
+    out.event_pairs = take_a * take_b
     for cell_c in full_specifications(space, dom, screener_region):
         out.screeners += 1
-        pc = prob(cell_c)
-        if pc == 0:
+        if measure.prob(cell_c) == 0:
             out.zero_screeners.append(cell_c)
             continue
-        for a in gam_a:
-            pa = prob(a & cell_c)
-            for b in gam_b:
-                out.tests += 1
-                pb = prob(b & cell_c)
-                pab = prob(a & b & cell_c)
-                if pab * pc != pa * pb:
-                    out.failures.append((a, b, cell_c, pab / pc, (pa / pc) * (pb / pc)))
+        out.tests += out.event_pairs
+        found = _screen_failures(measure, events_a, events_b, cell_c)
+        pairs = tuple((a, b) for a, b, _, _ in (found if dom.is_canonical else islice(found, 1)))
+        if pairs:
+            out.failing.append((ra, rb, cell_c, pairs))
     return out
 
 
-def _eval_family(model: Model, ra: Region, rb: Region, screener_region: Region, cap: int) -> _FamilyOutcome:
-    if model.dom.is_canonical:
-        return _eval_family_canonical(model, ra, rb, screener_region, cap)
-    return _eval_family_generic(model, ra, rb, screener_region, cap)
+def _witnesses(
+    model: Model, principle: str, failures: Sequence[Failure], cap: int, replay: bool
+) -> Iterator[Witness]:
+    """Every failing (A, B, C) under the failing screeners, over the capped
+    Gamma of both sides in the sweep's order (canonical Gamma ascends by cell
+    subset); each witness is replayed as it is listed when `replay` is set."""
+    space, dom = model.space, model.dom
+    for ra, rb, c, _ in failures:
+        gam_a, gam_b = gamma_capped(space, dom, ra, cap)[0], gamma_capped(space, dom, rb, cap)[0]
+        for a, b, lhs, rhs in _screen_failures(model.measure, gam_a, gam_b, c):
+            w = Witness(principle, ra, rb, a, b, c, lhs, rhs)
+            if replay:
+                _replay(model, w)
+            yield w
 
 
 def _trivial_outcome(model: Model, ra: Region, rb: Region, screener_region: Region, cap: int) -> _FamilyOutcome:
@@ -406,6 +388,8 @@ def _assemble(
     principle: str,
     outcomes: list[_PairOutcome],
     zero_mode: str,
+    algebra_cap: int,
+    replay: bool = False,
 ) -> Verdict:
     fam = _FAMILY[principle]
     finite_only = _FINITE_ONLY[principle]
@@ -418,7 +402,7 @@ def _assemble(
         "screening_tests": 0,
         "zero_screeners": 0,
     }
-    witnesses: list[Witness] = []
+    failures: list[Failure] = []
     zero_cells: list[tuple[Region, Region, Event]] = []
     capped = False
     for pair in outcomes:
@@ -437,8 +421,7 @@ def _assemble(
         counts["screening_tests"] += result.tests
         counts["zero_screeners"] += len(result.zero_screeners)
         capped = capped or result.truncated
-        for a, b, c, lhs, rhs in result.failures:
-            witnesses.append(Witness(principle, pair.ra, pair.rb, a, b, c, lhs, rhs))
+        failures.extend(result.failing)
         if zero_mode == "strict":
             zero_cells.extend((pair.ra, pair.rb, c) for c in result.zero_screeners)
     warning = None
@@ -446,13 +429,22 @@ def _assemble(
         warning = "dom axioms violated on this model; verdict computed under force"
     return Verdict(
         principle=principle,
-        satisfied=not witnesses,
+        satisfied=not failures,
         capped=capped,
         counts=counts,
-        witnesses=tuple(witnesses),
+        failures=tuple(failures),
+        iter_witnesses=partial(_witnesses, model, principle, failures, algebra_cap, replay),
         zero_screeners=tuple(zero_cells),
         axiom_warning=warning,
     )
+
+
+def _replay(model: Model, w: Witness) -> None:
+    lhs, rhs = replay_witness(model, w)
+    if lhs == rhs or lhs != w.lhs or rhs != w.rhs:
+        raise InternalConsistencyError(
+            f"witness does not replay: recorded {w.lhs}!={w.rhs}, got {lhs} vs {rhs}"
+        )
 
 
 def check_principle(
@@ -475,7 +467,7 @@ def check_principle(
         raise ValueError(f"unknown principle {which!r}")
     caps = caps or Caps()
     outcomes = _sweep(model, caps, (_FAMILY[which],))
-    return _assemble(model, which, outcomes, zero_mode)
+    return _assemble(model, which, outcomes, zero_mode, caps.algebra)
 
 
 @dataclass(frozen=True)
@@ -509,11 +501,17 @@ def implication_matrix(
 
     The two subset implications (SOk => FIN-SOk) are asserted as internal
     consistency; their failure is an implementation bug and aborts. Every
-    witness is replayed against the measure before the matrix is returned.
+    failing cell triple (canonical doms) or first failing event triple per
+    screener (explicit doms) is replayed against the measure before the
+    matrix is returned and must fail there too; the verdicts' witnesses are
+    listed lazily, and each one is replayed as it is listed.
     """
     caps = caps or Caps()
     outcomes = _sweep(model, caps, ("p1", "p2"))
-    verdicts = {p: _assemble(model, p, outcomes, zero_mode) for p in PRINCIPLES}
+    verdicts = {
+        p: _assemble(model, p, outcomes, zero_mode, caps.algebra, replay=True)
+        for p in PRINCIPLES
+    }
     for strong, weak in (("so1", "fin-so1"), ("so2", "fin-so2")):
         if verdicts[strong].satisfied and not verdicts[weak].satisfied:
             raise InternalConsistencyError(
@@ -521,12 +519,12 @@ def implication_matrix(
                 "is a subset of the infinite sweep, so this cannot happen"
             )
     for verdict in verdicts.values():
-        for w in verdict.witnesses:
-            lhs, rhs = replay_witness(model, w)
-            if lhs == rhs or lhs != w.lhs or rhs != w.rhs:
-                raise InternalConsistencyError(
-                    f"witness does not replay: recorded {w.lhs}!={w.rhs}, got {lhs} vs {rhs}"
-                )
+        for ra, rb, c, pairs in verdict.failures:
+            for a, b in pairs:
+                found = next(_screen_failures(model.measure, (a,), (b,), c), None)
+                if found is None:
+                    raise InternalConsistencyError("a recorded failing pair screens off on replay")
+                _replay(model, Witness(verdict.principle, ra, rb, a, b, c, *found[2:]))
     implications = {}
     for p in PRINCIPLES:
         for q in PRINCIPLES:
@@ -619,8 +617,8 @@ def replicate_so1_to_so2(
 
     precheck_failures = 0
     for pa, pb in ((ra, rb), (ea, eb)):
-        fam = _eval_family(model, pa, pb, causet.mutual_past(pa, pb), caps.algebra)
-        precheck_failures += len(fam.failures)
+        failing = _eval_family(model, pa, pb, causet.mutual_past(pa, pb), caps.algebra).failing
+        precheck_failures += sum(1 for _ in _witnesses(model, "so1", failing, caps.algebra, False))
     if precheck_failures:
         return ReplicationReport(ra, rb, False, precheck_failures, ())
 

@@ -136,6 +136,19 @@ def test_bad_weights_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
+def test_internal_consistency_failure_exits_3(data_dir, monkeypatch, capsys):
+    # a witness that no longer replays is an implementation bug, not a usage error
+    import causetlab.principles as principles
+    from causetlab.cli import main
+
+    monkeypatch.setattr(principles, "replay_witness", lambda model, w: (w.lhs, w.lhs))
+    code = main(["check", "--model", str(data_dir / "anti2_perf.json"), "--principle", "all"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("causetlab check: internal consistency failure: ")
+
+
 # -- command behaviors -----------------------------------------------------------------
 
 
@@ -255,6 +268,24 @@ def test_hunt_command_clean_exit_0():
     assert proc.returncode == 0
     lines = proc.stdout.strip().splitlines()
     assert len(lines) == 1  # just the summary
+
+
+@pytest.mark.parametrize("name, caps", [("anti2_q3", "algebra=3"), ("anti3_q2", "algebra=5")])
+@pytest.mark.parametrize("command, extra, code", [
+    ("check", ["--principle", "all"], 1),
+    ("replicate", [], 0),
+])
+def test_capped_canonical_output_is_pinned(data_dir, capsys, name, caps, command, extra, code):
+    # random measures under algebra caps that truncate Gamma and are not
+    # powers of two; the expected bytes come from the exhaustive subset-sum
+    # sweep that the per-cell decision replaced
+    from causetlab.cli import main
+
+    golden = data_dir / "golden"
+    model = str(golden / f"{name}.json")
+    assert main([command, "--model", model, *extra, "--caps", caps]) == code
+    expected = (golden / f"{name}.{command}.{caps.replace('=', '')}.out").read_text()
+    assert capsys.readouterr().out == expected
 
 
 def test_identical_invocations_identical_bytes(data_dir):

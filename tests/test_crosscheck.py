@@ -97,15 +97,24 @@ def test_routes_agree_on_replication_and_gap(w_causet):
 # -- generality and guard rails ----------------------------------------------
 
 
-def test_ternary_alphabet_principles(diamond):
+def test_ternary_alphabet_principles(diamond, w_causet):
     # q = 3: Gamma of a 2-element region has 3^2 cells -> 512 events, above
-    # the default algebra cap, so the verdict must be satisfied but capped
+    # the default algebra cap, so a verdict that evaluates one is satisfied
+    # but capped. The diamond evaluates none: its only nonempty spacelike
+    # pair is ({a}, {b}), and empty-sided pairs cannot fail, so they are
+    # counted but never truncate anything.
     space = HistorySpace(diamond, 3)
     model = Model.build(space, MeasureTable.uniform(space))
     matrix = implication_matrix(model)
     assert matrix.bits == "1111"
     verdict = check_principle(model, "so2", Caps(region_size=2, algebra=256))
-    assert verdict.satisfied
+    assert verdict.satisfied and not verdict.capped
+    # in the W causet ({q, a}, {b}) is spacelike
+    space = HistorySpace(w_causet, 3)
+    model = Model.build(space, MeasureTable.uniform(space))
+    verdict = check_principle(model, "so2", Caps(region_size=2, algebra=256))
+    assert verdict.satisfied and verdict.capped
+    assert verdict.counts["region_pairs_skipped"] == 0
 
 
 def test_gamma_guard_without_limit():

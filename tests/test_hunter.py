@@ -178,6 +178,34 @@ def test_checkpoint_and_resume(tmp_path):
     assert resumed.models == full.models
 
 
+def test_checkpoint_survives_a_write_that_dies(tmp_path, monkeypatch):
+    path = tmp_path / "hunt.ckpt"
+    cfg = SearchConfig(max_elements=3, measures_per_model=2, seed=6, include_perfect=True)
+    full = hunt(cfg)
+    real_dump = json.dump
+    writes = []
+
+    def dump_dying_on_third_write(obj, fh, **kwargs):
+        writes.append(obj["last_completed_index"])
+        if len(writes) == 3:
+            fh.write('{"config_digest": "')
+            fh.flush()
+            raise KeyboardInterrupt
+        real_dump(obj, fh, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(json, "dump", dump_dying_on_third_write)
+        with pytest.raises(KeyboardInterrupt):
+            hunt(cfg, checkpoint_path=str(path))
+    state = json.loads(path.read_text())
+    assert state["last_completed_index"] == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["hunt.ckpt"]
+    resumed = hunt(cfg, checkpoint_path=str(path), resume=True)
+    assert resumed.truth_table == full.truth_table
+    assert resumed.models == full.models
+    assert resumed.findings == [f for f in full.findings if f["index"] > 1]
+
+
 def test_resume_rejects_mismatched_config(tmp_path):
     path = str(tmp_path / "hunt.ckpt")
     hunt(SearchConfig(max_elements=2), checkpoint_path=path)

@@ -1,0 +1,175 @@
+"""The screening kernel against the brute-force oracles on random small models.
+
+The checker decides canonical sweeps on Phi cell pairs and lists witnesses
+lazily; the oracles enumerate Gamma by literal dom filtering, Phi by the
+settles-every-event definition and screening by plain Fraction division.
+Both dom routes must reproduce the oracles' full failure list and counts.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from causetlab import (
+    PRINCIPLES,
+    Caps,
+    DomMap,
+    HistorySpace,
+    MeasureTable,
+    Model,
+    check_principle,
+    full_specifications,
+    validate_causet,
+)
+from causetlab.histories import gamma_capped
+from causetlab.measure import screens_off
+
+from oracles import brute_gamma, brute_phi, brute_prob, brute_screens
+
+# high enough that no region algebra is truncated (q = 3, 2 elements: 2^9)
+UNCAPPED = Caps(region_size=3, algebra=1 << 10)
+
+COUNTS = ("region_pairs", "region_pairs_nonempty", "region_pairs_skipped", "event_pairs",
+          "screeners", "screening_tests", "zero_screeners")
+
+_memo: dict = {}
+
+
+def _brute(oracle, space, region):
+    # Gamma and Phi depend on the shape of the product space, not the order
+    key = (oracle.__name__, space.causet.n, space.q, region)
+    if key not in _memo:
+        _memo[key] = oracle(space, region)
+    return _memo[key]
+
+
+@st.composite
+def small_models(draw):
+    q = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 3 if q == 2 else 2))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    relations = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    elements = [f"e{i}" for i in range(n)]
+    causet = validate_causet(elements, [(elements[i], elements[j]) for i, j in relations])
+    space = HistorySpace(causet, q)
+    if draw(st.booleans()):
+        nums = draw(st.lists(st.integers(0, 3), min_size=space.size, max_size=space.size))
+        nums[0] += not any(nums)
+    else:
+        # a product measure with one unit of weight moved between two
+        # histories: screening then fails on a few cell pairs only
+        marginals = [draw(st.lists(st.integers(1, 3), min_size=q, max_size=q)) for _ in range(n)]
+        nums = [1] * space.size
+        for h in range(space.size):
+            for i in range(n):
+                nums[h] *= marginals[i][h // q**i % q]
+        source, target = draw(st.lists(st.integers(0, space.size - 1), min_size=2, max_size=2))
+        nums[source] -= 1
+        nums[target] += 1
+    measure = MeasureTable(space, [Fraction(k, sum(nums)) for k in nums])
+    if draw(st.booleans()):
+        dom = DomMap.explicit({e: space.canonical_dom(e) for e in range(space.omega + 1)})
+    else:
+        dom = DomMap.canonical()
+    return Model.build(space, measure, dom, axiom_policy="skip")
+
+
+def _oracle(model, past_of):
+    """Per spacelike pair: causal finiteness, the counts of the literal sweep
+    and its failures (ra, rb, A, B, C, lhs, rhs)."""
+    causet, space, measure = model.causet, model.space, model.measure
+    rows = []
+    for ra, rb in causet.spacelike_pairs():
+        finite = causet.is_causally_finite(ra) and causet.is_causally_finite(rb)
+        gam_a, gam_b = _brute(brute_gamma, space, ra), _brute(brute_gamma, space, rb)
+        cells = _brute(brute_phi, space, past_of(ra, rb))
+        trivial = ra == 0 or rb == 0
+        counts = {
+            "region_pairs": 1,
+            "region_pairs_nonempty": int(not trivial),
+            "region_pairs_skipped": 0,
+            "event_pairs": len(gam_a) * len(gam_b),
+            "screeners": len(cells),
+            "screening_tests": 0,
+            "zero_screeners": 0,
+        }
+        failures = []
+        for c in cells:
+            if not trivial and brute_prob(measure, c) == 0:
+                counts["zero_screeners"] += 1
+                continue
+            counts["screening_tests"] += len(gam_a) * len(gam_b)
+            for a in gam_a:
+                for b in gam_b:
+                    if not brute_screens(measure, a, b, c):
+                        pc = brute_prob(measure, c)
+                        lhs = brute_prob(measure, a & b & c) / pc
+                        rhs = brute_prob(measure, a & c) / pc * (brute_prob(measure, b & c) / pc)
+                        failures.append((ra, rb, a, b, c, lhs, rhs))
+        rows.append((finite, counts, failures))
+    return rows
+
+
+def _first_direct_failure(model, principle):
+    """The first failure of a direct loop over gamma_capped, in sweep order."""
+    causet, space, dom = model.causet, model.space, model.dom
+    past_of = causet.mutual_past if principle.endswith("so1") else causet.truncated_joint_past
+    for ra, rb in causet.spacelike_pairs():
+        if principle.startswith("fin") and not (
+            causet.is_causally_finite(ra) and causet.is_causally_finite(rb)
+        ):
+            continue
+        gam_a, _ = gamma_capped(space, dom, ra, UNCAPPED.algebra)
+        gam_b, _ = gamma_capped(space, dom, rb, UNCAPPED.algebra)
+        for c in full_specifications(space, dom, past_of(ra, rb)):
+            if model.measure.prob(c) == 0:
+                continue
+            for a in gam_a:
+                for b in gam_b:
+                    if not screens_off(model.measure, a, b, c):
+                        return ra, rb, a, b, c
+    return None
+
+
+def _triple(w):
+    return w.region_a, w.region_b, w.event_a, w.event_b, w.screener
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_models())
+def test_kernel_matches_the_oracles(model):
+    _check_against_the_oracles(model)
+
+
+def test_failures_away_from_the_first_cell_are_found():
+    # uniform on 3 x 3 values with one unit of weight moved from (x=1, y=1)
+    # to (x=2, y=1): the cell rows x=1 and x=2 fail while the row x=0 holds,
+    # so a decision that looked at fewer cells could miss the failures
+    space = HistorySpace(validate_causet(["x", "y"], []), 3)
+    nums = [1] * space.size
+    nums[space.history_from_key("11")] -= 1
+    nums[space.history_from_key("21")] += 1
+    model = Model.build(space, MeasureTable(space, [Fraction(k, 9) for k in nums]))
+    assert not check_principle(model, "so1").satisfied
+    _check_against_the_oracles(model)
+
+
+def _check_against_the_oracles(model):
+    causet = model.causet
+    oracle = {"so1": _oracle(model, causet.mutual_past),
+              "so2": _oracle(model, causet.truncated_joint_past)}
+    for principle in PRINCIPLES:
+        rows = [r for r in oracle[principle[-3:]] if r[0] or not principle.startswith("fin")]
+        failures = sorted(f for r in rows for f in r[2])
+        verdict = check_principle(model, principle, UNCAPPED)
+        assert verdict.satisfied == (not failures)
+        assert not verdict.capped
+        assert verdict.counts == {key: sum(r[1][key] for r in rows) for key in COUNTS}
+        first = _first_direct_failure(model, principle) if failures else None
+        if failures:
+            # the first witness comes without listing the rest
+            assert _triple(next(verdict.iter_witnesses())) == first
+            assert "witnesses" not in vars(verdict)
+        assert sorted(_triple(w) + (w.lhs, w.rhs) for w in verdict.witnesses) == failures
+        assert [_triple(w) for w in verdict.witnesses[:1]] == ([first] if failures else [])

@@ -140,6 +140,14 @@ def test_algebra_cap_marks_capped(diamond):
     assert check_principle(model, "so2", Caps(region_size=3, algebra=4)).capped is False
 
 
+def test_negative_caps_rejected():
+    # a negative cap would slice Gamma from its end and count negative takes
+    for text in ("algebra=-1", "region=-1"):
+        with pytest.raises(ValueError):
+            Caps.parse(text)
+    assert Caps.parse("algebra=0").algebra == 0
+
+
 def test_zero_screener_strict_mode_lists_cells(w_causet):
     space = HistorySpace(w_causet, 2)
     # all weight on histories with q = 0: the q = 1 cylinder has measure zero
@@ -166,6 +174,22 @@ def test_witness_replay_exact(anti2_perf_model):
         lhs, rhs = replay_witness(anti2_perf_model, w)
         assert (lhs, rhs) == (w.lhs, w.rhs)
         assert lhs != rhs
+
+
+def test_verdict_stores_failing_cell_pairs_and_lists_witnesses_lazily():
+    causet = validate_causet(["x", "y", "z"], [])
+    space = HistorySpace(causet, 2)
+    model = Model.build(space, MeasureTable.perfectly_correlated(space))
+    verdict = check_principle(model, "so2")
+    assert not verdict.satisfied and not verdict.capped
+    assert verdict.counts["screening_tests"] == 876
+    assert "witnesses" not in vars(verdict)  # deciding lists no witness
+    for ra, rb, c, pairs in verdict.failures:
+        for a, b in pairs:
+            assert a in space.phi_cells(ra) and b in space.phi_cells(rb)
+    assert sum(len(pairs) for *_, pairs in verdict.failures) == 24
+    assert len(verdict.witnesses) == 60
+    assert list(verdict.iter_witnesses()) == list(verdict.witnesses)
 
 
 def test_witness_json_strings(anti2_perf_model):
