@@ -16,8 +16,11 @@ element set for the empty region); the causal closure is (O')'. This is the
 standard causal-set transcription of the order-theoretic complement; only
 this definition is implemented and tested.
 
-All values are immutable after construction and every operation is a pure
-function, so concurrent reads and transfer between workers are safe.
+A causet's order and elements never change after construction and every
+operation is a pure function of them. The only mutable state is the memo of
+causal pasts, which maps a region to the one value it can have, so filling
+it is idempotent and concurrent reads and transfer between workers stay
+safe.
 """
 
 from __future__ import annotations
@@ -61,6 +64,8 @@ class Causet:
                 below[j] |= 1 << i
         self._below: tuple[int, ...] = tuple(below)
         self.full: Region = (1 << n) - 1
+        # past() results by region mask, for the regions queried so far
+        self._pasts: dict[Region, Region] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -113,10 +118,14 @@ class Causet:
 
     def past(self, r: Region) -> Region:
         """Causal past J^-(r): everything strictly before some point of r, plus r."""
-        self._check(r)
-        out = r
-        for i in _bits(r):
-            out |= self._below[i]
+        out = self._pasts.get(r)
+        if out is None:
+            # only checked regions are stored, so a foreign one always raises
+            self._check(r)
+            out = r
+            for i in _bits(r):
+                out |= self._below[i]
+            self._pasts[r] = out
         return out
 
     def is_spacelike(self, r1: Region, r2: Region) -> bool:

@@ -337,7 +337,7 @@ def cmd_hunt(args) -> int:
             print(json.dumps(finding, sort_keys=True, separators=(",", ":")))
         print(json.dumps({"summary": report.summary_json()},
                          sort_keys=True, separators=(",", ":")))
-    return 1 if report.findings else 0
+    return 1 if report.findings_total else 0
 
 
 def cmd_theorems(args) -> int:

@@ -7,12 +7,19 @@ principles (the open cells of the implication diagram) come back as
 findings with replayable fingerprints.
 
 Canonical form: the lexicographically minimal relation matrix over all
-relabelings, compared in expanding-submatrix block order and computed by
-branch and bound (only candidates realizing the minimal next block are
-explored; the next block is the very next key component, so nothing else can
-realize the overall minimum). Enumeration extends each (n-1)-element
-representative by one new maximal element over every order ideal; every
-finite poset has a maximal element, so this reaches every isomorphism class.
+relabelings, compared in expanding-submatrix block order (the block at depth
+d holds the entries between the element placed at d and those before it).
+It is computed by branch and bound. Only candidates realizing the minimal
+next block are explored, since the next block is the very next key
+component. Each block is one integer, extended by a shift per level, and a
+branch is cut as soon as its blocks so far equal those of the best sequence
+found and its next block is larger (incumbent pruning). Of twin candidates,
+which share their successors and predecessors, only one is explored: swapping
+them is an automorphism fixing the placed prefix, so both give the same
+sequence (twin pruning). Neither cut can change the minimum, so the result
+is the exhaustive one. Enumeration extends each (n-1)-element representative
+by one new maximal element over every order ideal; every finite poset has a
+maximal element, so this reaches every isomorphism class.
 
 Determinism: work is partitioned by canonical causet index, per-causet
 measure seeds are derived from (seed, index), and results are merged in
@@ -27,7 +34,7 @@ import hashlib
 import json
 import multiprocessing
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterator, Sequence
 
 from .causet import Causet, _bits
@@ -57,37 +64,55 @@ def canonical_form(lt: Sequence[int]) -> tuple[int, ...]:
     """Relabel a closed strict-order matrix (row i = mask of successors of i)
     to its minimal lexicographic form."""
     n = len(lt)
-    used = [False] * n
+    below = [0] * n
+    for i in range(n):
+        for j in _bits(lt[i]):
+            below[j] |= 1 << i
+    # twins (equal successor and predecessor masks) are swapped by an
+    # automorphism that fixes every other element
+    twin = [
+        next(t for t in range(n) if lt[t] == lt[o] and below[t] == below[o])
+        for o in range(n)
+    ]
+    incumbent = [0] * n  # block keys of the best sequence found so far
+    best: list[int] = []
     perm: list[int] = []
 
-    def block_for(o: int, depth: int) -> tuple[int, ...]:
-        # matrix entries newly determined by putting element o at position depth:
-        # row (depth, j) then column (j, depth), j < depth
-        row = tuple(lt[o] >> perm[j] & 1 for j in range(depth))
-        col = tuple(lt[perm[j]] >> o & 1 for j in range(depth))
-        return row + col
-
-    def rec(depth: int) -> tuple[tuple, tuple[int, ...]]:
-        """Minimal (block sequence, permutation suffix) extending perm."""
+    def rec(free: list[tuple[int, int, int]], tied: bool) -> None:
+        """Search the placements extending perm. `free` holds each unplaced
+        element with its row and column bits against perm, earliest placed
+        most significant, so `row << depth | col` orders the candidate blocks
+        as their bit tuples would. `tied` says that the blocks of perm equal
+        the incumbent's."""
+        depth = len(perm)
         if depth == n:
-            return (), ()
-        cands = [(block_for(o, depth), o) for o in range(n) if not used[o]]
-        floor = min(b for b, _ in cands)
-        best_tail: tuple | None = None
-        best_perm: tuple[int, ...] = ()
-        for block, o in cands:
-            if block != floor:
+            if not tied:
+                best[:] = perm
+            return
+        floor = min(row << depth | col for _, row, col in free)
+        if tied and floor > incumbent[depth]:
+            return
+        if not tied or floor < incumbent[depth]:
+            # the first child reaches a leaf unpruned and becomes the incumbent
+            incumbent[depth] = floor
+            tied = False
+        expanded = set()
+        for o, row, col in free:
+            if row << depth | col != floor or twin[o] in expanded:
                 continue
-            used[o] = True
+            expanded.add(twin[o])
+            up = lt[o]
+            child = [
+                (u, r << 1 | lt[u] >> o & 1, c << 1 | up >> u & 1)
+                for u, r, c in free
+                if u != o
+            ]
             perm.append(o)
-            tail, tail_perm = rec(depth + 1)
+            rec(child, tied)
             perm.pop()
-            used[o] = False
-            if best_tail is None or tail < best_tail:
-                best_tail, best_perm = tail, (o,) + tail_perm
-        return ((floor,) + best_tail, best_perm)
+            tied = True
 
-    _, best = rec(0)
+    rec([(o, 0, 0) for o in range(n)], False)
     out = []
     for a in range(n):
         row = 0
@@ -352,13 +377,37 @@ def _hunt_causet(task: tuple[int, tuple[int, ...], SearchConfig]) -> dict:
 
 
 @dataclass
+class _Totals:
+    """Everything the summary counts, cumulative over the sweep so far. A
+    checkpoint records it, so a resumed summary equals an uninterrupted one."""
+
+    truth_table: dict[str, int] = field(default_factory=dict)
+    models: int = 0
+    skipped_causets: int = 0
+    findings: int = 0
+    tags_histogram: dict[str, int] = field(default_factory=dict)
+
+    def add(self, result: dict) -> None:
+        self.models += result["models"]
+        self.skipped_causets += result["skipped"]
+        self.findings += len(result["findings"])
+        for bits, count in result["truth"].items():
+            self.truth_table[bits] = self.truth_table.get(bits, 0) + count
+        for finding in result["findings"]:
+            for tag in finding["tags"]:
+                self.tags_histogram[tag] = self.tags_histogram.get(tag, 0) + 1
+
+
+@dataclass
 class HuntReport:
     config: SearchConfig
-    findings: list[dict]
+    findings: list[dict]  # those emitted by this run; a resumed run repeats none
     truth_table: dict[str, int]
     causets: int
     models: int
     skipped_causets: int
+    findings_total: int
+    tags_histogram: dict[str, int]
     consistency_failures: tuple = ()
 
     def summary_json(self) -> dict:
@@ -367,21 +416,21 @@ class HuntReport:
             "causets": self.causets,
             "models": self.models,
             "skipped_causets": self.skipped_causets,
-            "findings": len(self.findings),
+            "findings": self.findings_total,
             "truth_table": dict(sorted(self.truth_table.items())),
             "consistency_failures": list(self.consistency_failures),
-            "tags_histogram": self._tags_histogram(),
+            "tags_histogram": dict(sorted(self.tags_histogram.items())),
         }
-
-    def _tags_histogram(self) -> dict[str, int]:
-        hist: dict[str, int] = {}
-        for f in self.findings:
-            for tag in f["tags"]:
-                hist[tag] = hist.get(tag, 0) + 1
-        return dict(sorted(hist.items()))
 
     def to_json(self) -> dict:
         return {"findings": self.findings, "summary": self.summary_json()}
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 def hunt(
@@ -394,9 +443,11 @@ def hunt(
     Emits every finding, the aggregate truth table of observed principle
     combinations, and (necessarily empty, since violations abort) the list of
     internal-consistency failures. Deterministic in the seed regardless of
-    the worker count. A checkpoint file records the last completed causet
-    index; resume=True skips causets at or below it and merges the recorded
-    totals (previously emitted findings are not re-emitted).
+    the worker count; the pool never exceeds the usable cores or the pending
+    causets. A checkpoint file records the last completed causet index and
+    the summary totals; resume=True skips causets at or below it and merges
+    the recorded totals, so the summary equals that of an uninterrupted run
+    (previously emitted findings are not re-emitted).
     """
     if config.max_elements > config.hard_limit:
         raise LimitError(f"max_elements exceeds the hard limit {config.hard_limit}")
@@ -407,75 +458,55 @@ def hunt(
             tasks.append((index, rows, config))
             index += 1
 
-    start_after = -1
-    truth_table: dict[str, int] = {}
-    findings: list[dict] = []
-    models = skipped = 0
+    start_after, totals = -1, _Totals()
     if resume:
-        state = _read_checkpoint(checkpoint_path, config)
-        start_after = state["last_completed_index"]
-        truth_table = dict(state["truth_table"])
-        models = state["models"]
-        skipped = state["skipped_causets"]
+        start_after, totals = _read_checkpoint(checkpoint_path, config)
     pending = [t for t in tasks if t[0] > start_after]
+    findings: list[dict] = []
 
-    if config.workers > 1 and len(pending) > 1:
-        with multiprocessing.Pool(config.workers) as pool:
+    processes = min(config.workers, _usable_cores(), len(pending))
+    if processes > 1:
+        with multiprocessing.Pool(processes) as pool:
             results: Iterator[dict] = pool.imap(_hunt_causet, pending, chunksize=1)
-            done = _merge(results, findings, truth_table, checkpoint_path, config)
+            _merge(results, findings, totals, checkpoint_path, config)
     else:
-        done = _merge(map(_hunt_causet, pending), findings, truth_table, checkpoint_path, config)
-    models += done["models"]
-    skipped += done["skipped"]
+        _merge(map(_hunt_causet, pending), findings, totals, checkpoint_path, config)
 
     return HuntReport(
         config=config,
         findings=findings,
-        truth_table=truth_table,
+        truth_table=totals.truth_table,
         causets=len(tasks),
-        models=models,
-        skipped_causets=skipped,
+        models=totals.models,
+        skipped_causets=totals.skipped_causets,
+        findings_total=totals.findings,
+        tags_histogram=totals.tags_histogram,
     )
 
 
 def _merge(
     results: Iterator[dict],
     findings: list[dict],
-    truth_table: dict[str, int],
+    totals: _Totals,
     checkpoint_path: str | None,
     config: SearchConfig,
-) -> dict:
-    models = skipped = 0
+) -> None:
     for result in results:
-        if result["skipped"]:
-            skipped += 1
-        models += result["models"]
         findings.extend(result["findings"])
-        for bits, count in result["truth"].items():
-            truth_table[bits] = truth_table.get(bits, 0) + count
+        totals.add(result)
         if checkpoint_path:
-            _write_checkpoint(checkpoint_path, config, result["index"], truth_table, models, skipped)
-    return {"models": models, "skipped": skipped}
+            _write_checkpoint(checkpoint_path, config, result["index"], totals)
 
 
 def _checkpoint_digest(config: SearchConfig) -> str:
     return _digest(config.to_json())
 
 
-def _write_checkpoint(
-    path: str,
-    config: SearchConfig,
-    last_index: int,
-    truth_table: dict[str, int],
-    models: int,
-    skipped: int,
-) -> None:
+def _write_checkpoint(path: str, config: SearchConfig, last_index: int, totals: _Totals) -> None:
     state = {
         "config_digest": _checkpoint_digest(config),
         "last_completed_index": last_index,
-        "truth_table": truth_table,
-        "models": models,
-        "skipped_causets": skipped,
+        **asdict(totals),
     }
     # write beside the checkpoint, then rename over it: a run that dies
     # mid-write leaves the previous checkpoint whole
@@ -490,14 +521,17 @@ def _write_checkpoint(
         raise
 
 
-def _read_checkpoint(path: str | None, config: SearchConfig) -> dict:
+def _read_checkpoint(path: str | None, config: SearchConfig) -> tuple[int, _Totals]:
+    """The last completed causet index and the totals through it."""
     if not path:
         raise ValueError("resume requested without a checkpoint path")
     with open(path, encoding="utf-8") as fh:
         state = json.load(fh)
-    if state.get("config_digest") != _checkpoint_digest(config):
+    names = {f.name for f in fields(_Totals)}
+    # a checkpoint without every total cannot give the full summary either
+    if state.get("config_digest") != _checkpoint_digest(config) or names - state.keys():
         raise ValueError("checkpoint belongs to a different hunt configuration")
-    return state
+    return state["last_completed_index"], _Totals(**{name: state[name] for name in names})
 
 
 def replay_finding(finding: dict | Finding) -> str:

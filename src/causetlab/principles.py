@@ -253,11 +253,13 @@ class _PairOutcome:
     families: dict[str, _FamilyOutcome] = field(default_factory=dict)
 
 
-def _algebra_size(space: HistorySpace, region: Region, cap: int) -> int:
+def _algebra_size(space: HistorySpace, region: Region, cap: int) -> tuple[int, bool]:
+    """How many events of Gamma(region) a capped sweep takes, and whether the
+    cap leaves some out (Gamma has 2^(q^|region|) events)."""
     k = space.q ** _popcount(region)
     if k > 1000:  # 2^k certainly beyond any sane cap
-        return cap
-    return min(1 << k, cap)
+        return cap, True
+    return min(1 << k, cap), cap < 1 << k
 
 
 def _screen_failures(
@@ -296,15 +298,15 @@ def _eval_family(
     out = _FamilyOutcome()
     if dom.is_canonical:
         cells_a, cells_b = space.phi_cells(ra), space.phi_cells(rb)
-        take_a, take_b = _algebra_size(space, ra, cap), _algebra_size(space, rb, cap)
-        out.truncated = take_a < 1 << len(cells_a) or take_b < 1 << len(cells_b)
+        take_a, trunc_a = _algebra_size(space, ra, cap)
+        take_b, trunc_b = _algebra_size(space, rb, cap)
         events_a = [cell for j, cell in enumerate(cells_a) if 1 << j < take_a]
         events_b = [cell for l, cell in enumerate(cells_b) if 1 << l < take_b]
     else:
         events_a, trunc_a = gamma_capped(space, dom, ra, cap)
         events_b, trunc_b = gamma_capped(space, dom, rb, cap)
         take_a, take_b = len(events_a), len(events_b)
-        out.truncated = trunc_a or trunc_b
+    out.truncated = trunc_a or trunc_b
     out.event_pairs = take_a * take_b
     for cell_c in full_specifications(space, dom, screener_region):
         out.screeners += 1
@@ -338,10 +340,12 @@ def _witnesses(
 def _trivial_outcome(model: Model, ra: Region, rb: Region, screener_region: Region, cap: int) -> _FamilyOutcome:
     # A pair with an empty side only ranges over events in {empty, Omega},
     # and mu(A&B|C) = mu(A|C)mu(B|C) holds identically for those, for every
-    # measure: nothing to evaluate, but the coverage is real and counted.
+    # measure: nothing to evaluate, but the coverage is real and counted,
+    # and a cap that cuts either algebra short marks the verdict capped.
     out = _FamilyOutcome()
-    size_a = _algebra_size(model.space, ra, cap)
-    size_b = _algebra_size(model.space, rb, cap)
+    size_a, trunc_a = _algebra_size(model.space, ra, cap)
+    size_b, trunc_b = _algebra_size(model.space, rb, cap)
+    out.truncated = trunc_a or trunc_b
     n_screeners = model.space.q ** _popcount(screener_region)
     out.screeners = n_screeners
     out.event_pairs = size_a * size_b

@@ -132,6 +132,27 @@ def _canon_pairs(rows, n):
     return best
 
 
+def brute_canonical_form(rows):
+    """The relabelled matrix whose block sequence is least over all n!
+    relabelings; block d holds the row entries (d, j), then the column
+    entries (j, d), for j < d."""
+    n = len(rows)
+    best = None
+    for perm in permutations(range(n)):
+        matrix = [
+            sum((rows[perm[a]] >> perm[b] & 1) << b for b in range(n))
+            for a in range(n)
+        ]
+        blocks = [
+            tuple(matrix[d] >> j & 1 for j in range(d))
+            + tuple(matrix[j] >> d & 1 for j in range(d))
+            for d in range(n)
+        ]
+        if best is None or blocks < best[0]:
+            best = (blocks, tuple(matrix))
+    return best[1]
+
+
 # -- probability ---------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from causetlab import (
     DuplicateElementError,
     ForeignRegionError,
     NotSpacelikeError,
+    enumerate_causets,
     validate_causet,
 )
 
@@ -72,6 +73,23 @@ def test_past_of_empty_region_is_empty(diamond, anti2):
 
 def test_past_without_predecessors(anti2):
     assert anti2.labels(anti2.past(anti2.region("x"))) == ("x",)
+
+
+def test_memoised_past_matches_definition_cold_and_warm():
+    for n in range(1, 6):
+        for c in enumerate_causets(n):
+            expected = []
+            for r in range(c.full + 1):
+                out = r
+                for i in range(n):
+                    if r >> i & 1:
+                        out |= c._below[i]
+                expected.append(out)
+            for _ in range(2):  # the first pass fills the memo, the second reads it
+                assert [c.past(r) for r in range(c.full + 1)] == expected
+            for foreign in (c.full + 1, 1 << n, -1):
+                with pytest.raises(ForeignRegionError):
+                    c.past(foreign)
 
 
 def test_spacelike_diamond_wings(diamond):

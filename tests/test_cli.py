@@ -263,6 +263,19 @@ def test_hunt_command_jsonl_and_exit_code():
     assert json.loads(summary)["summary"]["findings"] == 1
 
 
+def test_hunt_resume_prints_the_same_summary_and_exit_code(tmp_path, capsys):
+    from causetlab.cli import main
+
+    args = ["hunt", "--max-elements", "2", "--include-perfect", "--seed", "0",
+            "--checkpoint", str(tmp_path / "hunt.ckpt")]
+    assert main(args) == 1
+    first = capsys.readouterr().out.splitlines()
+    assert len(first) == 2
+    # nothing left to do: no finding is re-printed, but the summary counts it
+    assert main(args + ["--resume"]) == 1
+    assert capsys.readouterr().out.splitlines() == first[1:]
+
+
 def test_hunt_command_clean_exit_0():
     proc = run_cli("hunt", "--max-elements", "2")
     assert proc.returncode == 0

@@ -99,16 +99,15 @@ def test_routes_agree_on_replication_and_gap(w_causet):
 
 def test_ternary_alphabet_principles(diamond, w_causet):
     # q = 3: Gamma of a 2-element region has 3^2 cells -> 512 events, above
-    # the default algebra cap, so a verdict that evaluates one is satisfied
-    # but capped. The diamond evaluates none: its only nonempty spacelike
-    # pair is ({a}, {b}), and empty-sided pairs cannot fail, so they are
-    # counted but never truncate anything.
+    # the default algebra cap, so a verdict that counts one is satisfied but
+    # capped. In the diamond the only such region pairs are empty-sided,
+    # ({}, {a, b}): they cannot fail, but are counted at 256 of 512 events.
     space = HistorySpace(diamond, 3)
     model = Model.build(space, MeasureTable.uniform(space))
     matrix = implication_matrix(model)
     assert matrix.bits == "1111"
     verdict = check_principle(model, "so2", Caps(region_size=2, algebra=256))
-    assert verdict.satisfied and not verdict.capped
+    assert verdict.satisfied and verdict.capped
     # in the W causet ({q, a}, {b}) is spacelike
     space = HistorySpace(w_causet, 3)
     model = Model.build(space, MeasureTable.uniform(space))

@@ -1,6 +1,10 @@
 """Causet enumeration, measure sampling, and the model hunt."""
 
+import hashlib
 import json
+import multiprocessing
+import os
+import random
 
 import pytest
 
@@ -15,9 +19,10 @@ from causetlab import (
     sample_measures,
     validate_causet,
 )
-from causetlab.hunter import canonical_form
+from causetlab import hunter
+from causetlab.hunter import _representatives, canonical_form
 
-from oracles import brute_poset_count
+from oracles import brute_canonical_form, brute_poset_count
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -34,8 +39,8 @@ def test_count_n5_matches_brute_force():
     assert count_causets(5) == brute_poset_count(5) == 63
 
 
-def test_known_counts_through_six():
-    assert [count_causets(n) for n in range(1, 7)] == [1, 2, 5, 16, 63, 318]
+def test_known_counts_through_seven():
+    assert [count_causets(n) for n in range(1, 8)] == [1, 2, 5, 16, 63, 318, 2045]
 
 
 def test_enumeration_limit():
@@ -66,6 +71,47 @@ def test_canonical_form_is_isomorphism_invariant():
     assert canonical_form(a._above) == canonical_form(b._above)
     chain = validate_causet(["p", "a", "b", "t"], [("p", "a"), ("a", "b"), ("b", "t")])
     assert canonical_form(a._above) != canonical_form(chain._above)
+
+
+def _relabel(rows, perm):
+    """The same order with element i renamed perm[i]."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        out[perm[i]] = sum(1 << perm[j] for j in range(len(rows)) if row >> j & 1)
+    return tuple(out)
+
+
+def test_canonical_form_matches_brute_force_on_relabelings():
+    # hunt indices and per-causet seeds depend on the exact matrices, not
+    # only on the isomorphism classes
+    rng = random.Random(20)
+    for n in range(1, 7):
+        for rows in _representatives(n):
+            expected = brute_canonical_form(rows)
+            assert expected == rows
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                assert canonical_form(_relabel(rows, perm)) == expected
+
+
+# sha256 of repr(_representatives(n)) for n = 1..7, as first enumerated
+REPRESENTATIVE_DIGESTS = [
+    "78fce9491f4b0e3b895728f3c6efe71e16e4ae77f5f6db9148e6e0584bc5fd42",
+    "a240aee8d462f605c084db76a8975a5e974d27161ef52723995d18a0a79ba79d",
+    "33f83794cfb80d458f8126c24df93f316e93859101c7211cb7e7b4fd3d98c2f0",
+    "9ef0130ef190fee176c08b796ef8c6c56ced446714598b9d5930b0e216c85857",
+    "7a6acc63c7938ada145572b1fe76d5754796badc23705e51ebf0221c8deac938",
+    "6d4af223e58b71fa359cfb2db93e2d148353ea6d780e6efe909713833992e908",
+    "bb521a88e0efbdbe93e2ceb185456408076ae4bfedf54e6eaf7d0383eced3b40",
+]
+
+
+def test_representatives_are_pinned():
+    digests = [
+        hashlib.sha256(repr(_representatives(n)).encode()).hexdigest() for n in range(1, 8)
+    ]
+    assert digests == REPRESENTATIVE_DIGESTS
 
 
 # -- measure sampling --------------------------------------------------------------
@@ -249,3 +295,69 @@ def test_partial_resume_completes_the_sweep(tmp_path):
     assert resumed.truth_table == full.truth_table
     assert kept_findings + resumed.findings == full.findings
     assert resumed.models == full.models
+
+
+def test_resumed_summary_equals_uninterrupted(tmp_path, monkeypatch):
+    path = str(tmp_path / "hunt.ckpt")
+    cfg = SearchConfig(max_elements=3, measures_per_model=2, seed=6, include_perfect=True)
+    full = hunt(cfg)
+    assert any(f["index"] < 3 for f in full.findings)
+    real = hunter._hunt_causet
+    emitted = []
+    # interrupted twice, so the second run resumes from a resumed checkpoint
+    for dies_at in (3, 6):
+        def dying(task, dies_at=dies_at):
+            if task[0] == dies_at:
+                raise KeyboardInterrupt
+            result = real(task)
+            emitted.extend(result["findings"])
+            return result
+
+        with monkeypatch.context() as patch:
+            patch.setattr(hunter, "_hunt_causet", dying)
+            with pytest.raises(KeyboardInterrupt):
+                hunt(cfg, checkpoint_path=path, resume=dies_at == 6)
+    resumed = hunt(cfg, checkpoint_path=path, resume=True)
+    assert emitted + resumed.findings == full.findings
+    assert resumed.summary_json() == full.summary_json()
+
+
+def test_resume_rejects_checkpoint_without_summary_totals(tmp_path):
+    path = tmp_path / "hunt.ckpt"
+    cfg = SearchConfig(max_elements=2, include_perfect=True)
+    hunt(cfg, checkpoint_path=str(path))
+    state = json.loads(path.read_text())
+    for key in ("findings", "tags_histogram"):
+        path.write_text(json.dumps({k: v for k, v in state.items() if k != key}))
+        with pytest.raises(ValueError, match="different hunt configuration"):
+            hunt(cfg, checkpoint_path=str(path), resume=True)
+
+
+class _RecordingPool:
+    """Stands in for multiprocessing.Pool: records its size, runs in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cores, max_elements, expected", [(3, 3, 3), (8, 2, 3), (1, 3, None)])
+def test_pool_never_exceeds_cores_or_pending_causets(monkeypatch, cores, max_elements, expected):
+    cfg = dict(max_elements=max_elements, measures_per_model=2, seed=11, include_perfect=True)
+    serial = hunt(SearchConfig(**cfg))
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    wide = hunt(SearchConfig(**cfg, workers=64))
+    assert _RecordingPool.sizes == ([] if expected is None else [expected])
+    assert json.dumps(wide.to_json(), sort_keys=True) == json.dumps(serial.to_json(), sort_keys=True)

@@ -127,17 +127,25 @@ def test_region_size_cap_marks_capped():
     capped = check_principle(model, "so2", Caps(region_size=1))
     assert capped.capped
     assert capped.counts["region_pairs_skipped"] > 0
-    uncapped = check_principle(model, "so2", Caps(region_size=3))
+    # no pair is skipped at region_size=3, but the default algebra cap counts
+    # the empty-sided ({}, {a, b, c, d}) at 256 of its 2^16 events
+    unskipped = check_principle(model, "so2", Caps(region_size=3))
+    assert unskipped.capped
+    assert unskipped.counts["region_pairs_skipped"] == 0
+    uncapped = check_principle(model, "so2", Caps(region_size=3, algebra=1 << 16))
     assert not uncapped.capped
 
 
 def test_algebra_cap_marks_capped(diamond):
     # the only nonempty spacelike pair is ({a},{b}), whose algebras have 4
-    # events each; a cap of 2 truncates them
+    # events each; a cap of 2 truncates them. A cap of 4 covers them but
+    # counts the empty-sided ({}, {a, b}) at 4 of its 16 events; the largest
+    # algebra, of ({}, {p, a, b, t}), has 2^16 events.
     model = _uniform_model(diamond)
     verdict = check_principle(model, "so2", Caps(region_size=3, algebra=2))
     assert verdict.capped
-    assert check_principle(model, "so2", Caps(region_size=3, algebra=4)).capped is False
+    assert check_principle(model, "so2", Caps(region_size=3, algebra=4)).capped is True
+    assert check_principle(model, "so2", Caps(region_size=3, algebra=1 << 16)).capped is False
 
 
 def test_negative_caps_rejected():
