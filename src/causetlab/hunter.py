@@ -217,6 +217,8 @@ class SearchConfig:
             raise ValueError("max_elements must be at least 1")
         if self.measures_per_model < 1:
             raise ValueError("measures_per_model must be at least 1")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
         for f in self.filters:
             if f not in FILTERS:
                 raise ValueError(f"unknown filter {f!r}; known: {', '.join(FILTERS)}")

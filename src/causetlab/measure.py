@@ -1,9 +1,20 @@
-"""Exact-rational probability over a history space.
+"""Exact probability over a history space, as integer masses.
 
 Weights are `fractions.Fraction` values, one per history, summing to exactly
-1. Every comparison in the laboratory is an exact rational identity; there
-is no tolerance anywhere, because the screening-off checks ARE equalities
-and a tolerance would manufacture or mask violations.
+1. A table keeps them as integer numerators over one common denominator D
+(the lcm of the weight denominators), so the measure of an event is its
+integer mass divided by D. Every screening and correlation decision is an
+exact identity or inequality between integers; there is no tolerance
+anywhere, because the screening-off checks ARE equalities and a tolerance
+would manufacture or mask violations.
+
+Why integer comparisons are exact: mu(A & B | C) = mu(A | C) mu(B | C) is,
+multiplied out, mu(A&B&C) mu(C) = mu(A&C) mu(B&C), homogeneous of degree 2
+on both sides, so the D^2 cancels and the masses compare directly.
+Correlation, mu(A & B) > mu(A) mu(B), mixes degrees 1 and 2, so it compares
+mass(A&B) * D with mass(A) * mass(B). `Fraction`s are built for printed
+values (a witness's two sides, conditional probabilities) and inside the
+common cause verdicts, which compare exact rationals off the hot paths.
 
 Besides evaluation this module holds the Reichenbachian common cause
 verdicts: the single-event common cause (screening on C and its complement
@@ -22,9 +33,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Mapping, Sequence
 
-from .causet import _bits
 from .errors import CapExceededError, NotAPartitionError, ZeroConditionError
 from .histories import DomMap, Event, HistorySpace, full_specifications
 
@@ -32,7 +43,17 @@ ZERO = Fraction(0)
 
 
 class MeasureTable:
-    """Immutable exact-rational weight table over the histories of a space."""
+    """Immutable exact weight table over the histories of a space.
+
+    `weights` are the `Fraction` weights; `denominator` is D, the lcm of
+    their denominators, and the masses are the integer numerators w * D.
+    Evaluation sums masses through the "four Russians" partial-sum tables
+    (Arlazarov, Dinic, Kronrod and Faradzev, 1970): histories 8i..8i+7 get
+    one table whose entry s is the total mass of the histories whose bits
+    are set in s, so `mass(e)` is one lookup per byte of e. A last chunk of
+    k < 8 histories gets 2^k entries. That is 32 ints per history, built
+    once per measure; `HistorySpace` caps spaces at 2^20 histories.
+    """
 
     def __init__(self, space: HistorySpace, weights: Sequence[Fraction]):
         if len(weights) != space.size:
@@ -40,10 +61,14 @@ class MeasureTable:
         weights = tuple(Fraction(w) for w in weights)
         if any(w < 0 for w in weights):
             raise ValueError("weights must be non-negative")
-        if sum(weights) != 1:
-            raise ValueError(f"weights sum to {sum(weights)}, not 1")
+        d = lcm(*(w.denominator for w in weights))
+        nums = [w.numerator * (d // w.denominator) for w in weights]
+        if sum(nums) != d:
+            raise ValueError(f"weights sum to {Fraction(sum(nums), d)}, not 1")
         self.space = space
         self.weights = weights
+        self.denominator = d
+        self._tables = tuple(_partial_sums(nums[i:i + 8]) for i in range(0, len(nums), 8))
 
     # -- constructors ------------------------------------------------------
 
@@ -82,17 +107,22 @@ class MeasureTable:
 
     # -- evaluation ----------------------------------------------------------
 
-    def prob(self, e: Event) -> Fraction:
-        total = ZERO
-        for h in _bits(e):
-            total += self.weights[h]
+    def mass(self, e: Event) -> int:
+        """mu(e) * D, an exact integer."""
+        total = 0
+        for table in self._tables:
+            total += table[e & 255]
+            e >>= 8
         return total
 
+    def prob(self, e: Event) -> Fraction:
+        return Fraction(self.mass(e), self.denominator)
+
     def cond_prob(self, e: Event, given: Event) -> Fraction:
-        pg = self.prob(given)
-        if pg == 0:
+        mg = self.mass(given)
+        if mg == 0:
             raise ZeroConditionError("conditioning event has probability zero")
-        return self.prob(e & given) / pg
+        return Fraction(self.mass(e & given), mg)
 
     def support(self) -> Event:
         mask = 0
@@ -111,18 +141,28 @@ class MeasureTable:
         }
 
 
+def _partial_sums(nums: Sequence[int]) -> list[int]:
+    """Entry s is the sum of nums[i] over the bits i set in s."""
+    table = [0]
+    for w in nums:
+        table += [t + w for t in table]
+    return table
+
+
 def is_correlated(m: MeasureTable, a: Event, b: Event) -> bool:
-    """Strictly positively correlated: mu(A & B) > mu(A) mu(B), exactly."""
-    return m.prob(a & b) > m.prob(a) * m.prob(b)
+    """Strictly positively correlated: mu(A & B) > mu(A) mu(B), exactly. The
+    sides have degrees 1 and 2 in the masses, hence the factor D."""
+    return m.mass(a & b) * m.denominator > m.mass(a) * m.mass(b)
 
 
 def screens_off(m: MeasureTable, a: Event, b: Event, c: Event) -> bool:
-    """mu(A & B | C) = mu(A | C) mu(B | C), cross-multiplied so only products
-    of plain measures are compared; vacuously true when mu(C) = 0."""
-    pc = m.prob(c)
-    if pc == 0:
+    """mu(A & B | C) = mu(A | C) mu(B | C), multiplied out to integer masses
+    mass(A&B&C) mass(C) = mass(A&C) mass(B&C) (degree 2 on both sides);
+    vacuously true when mu(C) = 0."""
+    mc = m.mass(c)
+    if mc == 0:
         return True
-    return m.prob(a & b & c) * pc == m.prob(a & c) * m.prob(b & c)
+    return m.mass(a & b & c) * mc == m.mass(a & c) * m.mass(b & c)
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ from .histories import (
     full_specifications,
     gamma_capped,
 )
-from .measure import MeasureTable, screens_off
+from .measure import MeasureTable
 
 PRINCIPLES = ("so1", "so2", "fin-so1", "fin-so2")
 
@@ -267,18 +267,18 @@ def _screen_failures(
 ) -> Iterator[tuple[Event, Event, Fraction, Fraction]]:
     """Every (A, B) in events_a x events_b that C (of positive measure) fails
     to screen off, in row-major order, with mu(A&B|C) and mu(A|C) mu(B|C).
-    Tests are cross-multiplied; only a failure is divided out. This one loop
-    decides both dom routes and lists the witnesses of both."""
-    prob = measure.prob
-    pc = prob(c)
-    pbs = [prob(b & c) for b in events_b]
+    Tests compare integer masses; only a failure builds its Fractions. This
+    one loop decides both dom routes and lists the witnesses of both."""
+    mass = measure.mass
+    mc = mass(c)
+    mbs = [mass(b & c) for b in events_b]
     for a in events_a:
         ac = a & c
-        pa = prob(ac)
-        for b, pb in zip(events_b, pbs):
-            pab = prob(ac & b)
-            if pab * pc != pa * pb:
-                yield a, b, pab / pc, (pa / pc) * (pb / pc)
+        ma = mass(ac)
+        for b, mb in zip(events_b, mbs):
+            mab = mass(ac & b)
+            if mab * mc != ma * mb:
+                yield a, b, Fraction(mab, mc), Fraction(ma * mb, mc * mc)
 
 
 def _eval_family(
@@ -310,7 +310,7 @@ def _eval_family(
     out.event_pairs = take_a * take_b
     for cell_c in full_specifications(space, dom, screener_region):
         out.screeners += 1
-        if measure.prob(cell_c) == 0:
+        if measure.mass(cell_c) == 0:
             out.zero_screeners.append(cell_c)
             continue
         out.tests += out.event_pairs
@@ -638,6 +638,13 @@ def replicate_so1_to_so2(
     step3_failures: list[dict] = []
     checked1 = checked2 = checked3 = 0
     keys = space.event_keys
+    mass = measure.mass
+
+    def step1_failure(name: str, e1: Event, e2: Event, c: Event) -> None:
+        step1_failures.append({
+            "pair": name, "event_1": keys(e1), "event_2": keys(e2), "screener": keys(c),
+        })
+
     for cell_x in phi_x:
         for cell_y in phi_y:
             for cell_c in phi_p1:
@@ -648,39 +655,43 @@ def replicate_so1_to_so2(
                         "x": keys(cell_x), "y": keys(cell_y), "c": keys(cell_c),
                         "reason": "C&X&Y is not a full specification of the truncated joint past",
                     })
-                if measure.prob(cell_c) > 0:
-                    checked1 += 1
-                    if not screens_off(measure, cell_x, cell_y, cell_c):
-                        step1_failures.append({
-                            "pair": "X,Y", "x": keys(cell_x), "y": keys(cell_y),
-                            "screener": keys(cell_c),
-                        })
-                pk = measure.prob(k)
+                # Steps 1 and 2 compare integer masses, degree 2 on both
+                # sides. K lies inside C, so mu(K) > 0 only if mu(C) > 0;
+                # A&X&B&Y&C is A&B&K, and every mass not involving both A
+                # and B is taken once per A or per B under this screener.
+                mc = mass(cell_c)
+                if mc == 0:
+                    continue
+                mk = mass(k)
+                checked1 += 1 + 3 * len(gam_a) * len(gam_b)
+                if mk:
+                    checked2 += len(gam_a) * len(gam_b)
+                if mk * mc != mass(cell_x & cell_c) * mass(cell_y & cell_c):
+                    step1_failures.append({
+                        "pair": "X,Y", "x": keys(cell_x), "y": keys(cell_y),
+                        "screener": keys(cell_c),
+                    })
+                b_masses = [
+                    (b, mass(b & cell_c), mass(b & cell_y & cell_c), mass(b & k)) for b in gam_b
+                ]
                 for a in gam_a:
-                    for b in gam_b:
-                        if measure.prob(cell_c) > 0:
-                            checked1 += 3
-                            for name, e1, e2 in (
-                                ("A&X,B&Y", a & cell_x, b & cell_y),
-                                ("A&X,B", a & cell_x, b),
-                                ("A,B&Y", a, b & cell_y),
-                            ):
-                                if not screens_off(measure, e1, e2, cell_c):
-                                    step1_failures.append({
-                                        "pair": name,
-                                        "event_1": keys(e1), "event_2": keys(e2),
-                                        "screener": keys(cell_c),
-                                    })
-                        if pk > 0:
-                            checked2 += 1
-                            lhs = measure.prob(a & k) * measure.prob(b & k)
-                            rhs = measure.prob(a & b & k) * pk
-                            if lhs != rhs:
-                                step2_failures.append({
-                                    "a": keys(a), "b": keys(b), "k": keys(k),
-                                    "lhs": measure.prob(a & k) / pk * (measure.prob(b & k) / pk),
-                                    "rhs": measure.prob(a & b & k) / pk,
-                                })
+                    ac = a & cell_c
+                    axc = ac & cell_x
+                    ma, max_, mak = mass(ac), mass(axc), mass(a & k)
+                    for b, mb, mby, mbk in b_masses:
+                        mabk = mass(axc & b & cell_y)
+                        if mabk * mc != max_ * mby:
+                            step1_failure("A&X,B&Y", a & cell_x, b & cell_y, cell_c)
+                        if mass(axc & b) * mc != max_ * mb:
+                            step1_failure("A&X,B", a & cell_x, b, cell_c)
+                        if mass(ac & b & cell_y) * mc != ma * mby:
+                            step1_failure("A,B&Y", a, b & cell_y, cell_c)
+                        if mk and mak * mbk != mabk * mk:
+                            step2_failures.append({
+                                "a": keys(a), "b": keys(b), "k": keys(k),
+                                "lhs": Fraction(mak * mbk, mk * mk),
+                                "rhs": Fraction(mabk, mk),
+                            })
     steps = (
         StepResult(1, not step1_failures, checked1, tuple(step1_failures)),
         StepResult(2, not step2_failures, checked2, tuple(step2_failures)),

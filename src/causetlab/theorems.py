@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .causet import _popcount
-from .errors import LabError
+from .errors import LabError, LimitError
 from .histories import (
     DomMap,
     HistorySpace,
@@ -46,7 +46,7 @@ from .principles import (
     gap_closure_check,
     replicate_so1_to_so2,
 )
-from .hunter import enumerate_causets
+from .hunter import HARD_ENUMERATION_LIMIT, enumerate_causets
 
 
 @dataclass(frozen=True)
@@ -247,8 +247,12 @@ def run_all(
 ) -> dict:
     """The full provable-step battery; product-space suites run at
     min(max_elements, 4) unless overridden (their cost grows much faster
-    than the pure region sweeps)."""
-    product_max = max_product_elements or min(max_elements, 4)
+    than the pure region sweeps). Both sizes are checked against the
+    enumeration limit before any suite runs."""
+    for name, size in (("max_elements", max_elements), ("max_product_elements", max_product_elements)):
+        if size is not None and not 1 <= size <= HARD_ENUMERATION_LIMIT:
+            raise LimitError(f"{name} must be between 1 and {HARD_ENUMERATION_LIMIT}, got {size}")
+    product_max = min(max_elements, 4) if max_product_elements is None else max_product_elements
     suites = [
         region_identity_suite(max_elements),
         partition_suite(product_max, alphabet),

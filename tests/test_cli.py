@@ -136,6 +136,28 @@ def test_bad_weights_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("sizes", [
+    ["--max-elements", "0"],
+    ["--max-elements", "-3"],
+    ["--max-elements", "9", "--max-product-elements", "1"],
+    ["--max-elements", "2", "--max-product-elements", "0"],
+    ["--max-elements", "2", "--max-product-elements", "8"],
+])
+def test_theorems_rejects_sizes_before_enumerating(sizes, monkeypatch, capsys):
+    import causetlab.theorems as theorems
+    from causetlab.cli import main
+
+    def no_enumeration(n, *args, **kwargs):
+        raise AssertionError("enumerated before the sizes were checked")
+
+    monkeypatch.setattr(theorems, "enumerate_causets", no_enumeration)
+    assert main(["theorems", *sizes]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("causetlab theorems: max_")
+    assert err.count("\n") == 1
+
+
 def test_internal_consistency_failure_exits_3(data_dir, monkeypatch, capsys):
     # a witness that no longer replays is an implementation bug, not a usage error
     import causetlab.principles as principles

@@ -206,6 +206,21 @@ def test_unknown_filter_rejected():
         SearchConfig(max_elements=2, filters=("shiny",))
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_rejected(workers, capsys):
+    from causetlab.cli import main
+
+    with pytest.raises(ValueError, match="workers"):
+        SearchConfig(max_elements=2, workers=workers)
+    assert main(["hunt", "--max-elements", "2", "--workers", str(workers)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("causetlab hunt: workers must be at least 1")
+    # scheduling only: the worker count stays out of the config digest
+    assert SearchConfig(max_elements=2, workers=1).to_json() == SearchConfig(
+        max_elements=2, workers=3).to_json()
+
+
 def test_hunt_respects_hard_limit():
     with pytest.raises(LimitError):
         hunt(SearchConfig(max_elements=8))

@@ -23,7 +23,6 @@ from causetlab import (
     validate_causet,
 )
 from causetlab.histories import gamma_capped
-from causetlab.measure import screens_off
 
 from oracles import brute_gamma, brute_phi, brute_prob, brute_screens
 
@@ -112,7 +111,8 @@ def _oracle(model, past_of):
 
 
 def _first_direct_failure(model, principle):
-    """The first failure of a direct loop over gamma_capped, in sweep order."""
+    """The first failure of a direct loop over gamma_capped, in sweep order,
+    decided by the Fraction oracles rather than the library's integer kernel."""
     causet, space, dom = model.causet, model.space, model.dom
     past_of = causet.mutual_past if principle.endswith("so1") else causet.truncated_joint_past
     for ra, rb in causet.spacelike_pairs():
@@ -123,11 +123,11 @@ def _first_direct_failure(model, principle):
         gam_a, _ = gamma_capped(space, dom, ra, UNCAPPED.algebra)
         gam_b, _ = gamma_capped(space, dom, rb, UNCAPPED.algebra)
         for c in full_specifications(space, dom, past_of(ra, rb)):
-            if model.measure.prob(c) == 0:
+            if brute_prob(model.measure, c) == 0:
                 continue
             for a in gam_a:
                 for b in gam_b:
-                    if not screens_off(model.measure, a, b, c):
+                    if not brute_screens(model.measure, a, b, c):
                         return ra, rb, a, b, c
     return None
 

@@ -1,6 +1,8 @@
 """Exact probability, correlation, common causes, common cause systems."""
 
 from fractions import Fraction
+from functools import cache
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from causetlab import (
     is_ccs,
     is_common_cause,
     is_correlated,
+    screens_off,
     validate_causet,
 )
 from causetlab.measure import _set_partitions
@@ -64,6 +67,44 @@ def test_random_measure_exact_and_deterministic(anti2_space):
     m2 = MeasureTable.random(anti2_space, 7, 100)
     assert m1.weights == m2.weights
     assert sum(m1.weights) == 1
+
+
+# -- integer masses ------------------------------------------------------------------
+
+@cache
+def _antichain_space(q, n):
+    # the measure ignores the order, so antichains give every size q^n
+    return HistorySpace(validate_causet([f"e{i}" for i in range(n)], []), q)
+
+
+@st.composite
+def measures_with_events(draw):
+    # sizes 4, 8, 16, 32 (q = 2) and 9, 27, 81 (q = 3): several 8-history
+    # chunks, and a partial last chunk for 4, 9, 27 and 81
+    q, n = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4)]))
+    space = _antichain_space(q, n)
+    # mixed denominators, so the common denominator usually differs from
+    # each of them; some weights zero
+    raw = draw(st.lists(
+        st.builds(Fraction, st.integers(0, 3), st.sampled_from([1, 2, 3, 5, 7, 11])),
+        min_size=space.size, max_size=space.size,
+    ))
+    raw[draw(st.integers(0, space.size - 1))] += Fraction(1, 4)
+    total = sum(raw)
+    measure = MeasureTable(space, [w / total for w in raw])
+    event = st.one_of(st.just(0), st.just(space.omega), st.integers(0, space.omega))
+    return measure, draw(event), draw(event), draw(event)
+
+
+@settings(max_examples=300, deadline=None)
+@given(measures_with_events())
+def test_integer_masses_match_the_fraction_oracle(drawn):
+    m, a, b, c = drawn
+    assert m.denominator == lcm(*(w.denominator for w in m.weights))
+    for e in (a, b, c, a & b, a & b & c):
+        assert Fraction(m.mass(e), m.denominator) == brute_prob(m, e) == m.prob(e)
+    assert screens_off(m, a, b, c) == brute_screens(m, a, b, c)
+    assert is_correlated(m, a, b) == (brute_prob(m, a & b) > brute_prob(m, a) * brute_prob(m, b))
 
 
 # -- correlation ---------------------------------------------------------------------
