@@ -17,10 +17,10 @@ standard causal-set transcription of the order-theoretic complement; only
 this definition is implemented and tested.
 
 A causet's order and elements never change after construction and every
-operation is a pure function of them. The only mutable state is the memo of
-causal pasts, which maps a region to the one value it can have, so filling
-it is idempotent and concurrent reads and transfer between workers stay
-safe.
+operation is a pure function of them. The only state built after
+construction is the table of causal pasts, filled once on first use with
+the one value each region can have, so concurrent reads and transfer
+between workers stay safe.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ from .errors import (
 # Regions are plain int bitmasks over element indices.
 Region = int
 
+# Sweeps over all 2^n regions, and the past table, stop at this many elements.
+_SWEEP_LIMIT = 16
+
 
 def _bits(mask: int) -> Iterator[int]:
     while mask:
@@ -49,7 +52,13 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 class Causet:
-    """A finite set with a strict causal partial order, stored transitively closed."""
+    """A finite set with a strict causal partial order, stored transitively closed.
+
+    Causal pasts come from a table holding J^-(r) for all 2^n regions r,
+    built on first use (2^n ints; up to 16 elements). `region_identities_hold`
+    decides every region identity of a spacelike pair from four of its
+    entries.
+    """
 
     def __init__(self, elements: Sequence[str], closed_above: Sequence[int]):
         """Internal constructor; use :func:`validate_causet` or :meth:`from_relations`."""
@@ -64,8 +73,6 @@ class Causet:
                 below[j] |= 1 << i
         self._below: tuple[int, ...] = tuple(below)
         self.full: Region = (1 << n) - 1
-        # past() results by region mask, for the regions queried so far
-        self._pasts: dict[Region, Region] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -117,16 +124,35 @@ class Causet:
     # -- the region algebra ----------------------------------------------
 
     def past(self, r: Region) -> Region:
-        """Causal past J^-(r): everything strictly before some point of r, plus r."""
-        out = self._pasts.get(r)
-        if out is None:
-            # only checked regions are stored, so a foreign one always raises
-            self._check(r)
+        """Causal past J^-(r): everything strictly before some point of r, plus r.
+
+        Read from the past table; a causet too large for the table joins
+        the pasts of r's points instead.
+        """
+        self._check(r)
+        if self.n > _SWEEP_LIMIT:
             out = r
             for i in _bits(r):
                 out |= self._below[i]
-            self._pasts[r] = out
-        return out
+            return out
+        return self._past_table[r]
+
+    @cached_property
+    def _past_table(self) -> tuple[Region, ...]:
+        """J^-(r) for every region r, indexed by its mask: 2^n ints.
+
+        Built once in ascending mask order: the past of r is the past of r
+        without its lowest point joined with that point's own past. Like the
+        region sweeps it is exponential, so it is refused above _SWEEP_LIMIT
+        elements.
+        """
+        if self.n > _SWEEP_LIMIT:
+            raise LimitError("past tables are exponential; causet too large")
+        table = [0] * (self.full + 1)
+        for r in range(1, self.full + 1):
+            low = r & -r
+            table[r] = table[r & (r - 1)] | low | self._below[low.bit_length() - 1]
+        return tuple(table)
 
     def is_spacelike(self, r1: Region, r2: Region) -> bool:
         """True iff J^-(r1) misses r2 and r1 misses J^-(r2).
@@ -134,7 +160,7 @@ class Causet:
         Overlapping regions are never spacelike since each point lies in its
         own past.
         """
-        return not (self.past(r1) & r2) and not (r1 & self.past(r2))
+        return _spacelike(r1, r2, self.past(r1), self.past(r2))
 
     def mutual_past(self, r1: Region, r2: Region) -> Region:
         """P1(r1, r2) = J^-(r1) & J^-(r2); defined for any two regions."""
@@ -142,7 +168,7 @@ class Causet:
 
     def truncated_joint_past(self, r1: Region, r2: Region) -> Region:
         """P2(r1, r2) = (J^-(r1) | J^-(r2)) minus the regions themselves."""
-        return (self.past(r1) | self.past(r2)) & ~(r1 | r2) & self.full
+        return _truncated_joint(r1, r2, self.past(r1), self.past(r2))
 
     @cached_property
     def _point_complement(self) -> tuple[int, ...]:
@@ -176,10 +202,7 @@ class Causet:
 
     def flank_regions(self, ra: Region, rb: Region) -> tuple[Region, Region]:
         """The strips (J^-(A)\\A)\\J^-(B) and (J^-(B)\\B)\\J^-(A)."""
-        pa, pb = self.past(ra), self.past(rb)
-        x = (pa & ~ra) & ~pb
-        y = (pb & ~rb) & ~pa
-        return x, y
+        return _flanks(ra, rb, self.past(ra), self.past(rb))
 
     def verify_crucial_identity(self, ra: Region, rb: Region) -> "CrucialIdentityReport":
         """Check the enlarged-pair identity behind the SO2 => SO1 step.
@@ -189,15 +212,17 @@ class Causet:
         enlarged pair equals the mutual past of the original pair. Returns all
         computed regions for inspection.
         """
-        if not self.is_spacelike(ra, rb):
+        pa, pb = self.past(ra), self.past(rb)
+        if not _spacelike(ra, rb, pa, pb):
             raise NotSpacelikeError(
                 f"regions {self.labels(ra)} and {self.labels(rb)} are not spacelike separated"
             )
-        x, y = self.flank_regions(ra, rb)
+        x, y = _flanks(ra, rb, pa, pb)
         ea, eb = ra | x, rb | y
-        spacelike_ok = self.is_spacelike(ea, eb)
-        p1 = self.mutual_past(ra, rb)
-        p2_enlarged = self.truncated_joint_past(ea, eb)
+        pea, peb = self.past(ea), self.past(eb)
+        spacelike_ok = _spacelike(ea, eb, pea, peb)
+        p1 = pa & pb
+        p2_enlarged = _truncated_joint(ea, eb, pea, peb)
         return CrucialIdentityReport(
             region_a=ra,
             region_b=rb,
@@ -213,11 +238,44 @@ class Causet:
 
     def decomposes_truncated_past(self, ra: Region, rb: Region) -> bool:
         """True iff P2 = X | Y | P1 with the three parts pairwise disjoint."""
-        x, y = self.flank_regions(ra, rb)
-        p1 = self.mutual_past(ra, rb)
-        p2 = self.truncated_joint_past(ra, rb)
+        pa, pb = self.past(ra), self.past(rb)
+        x, y = _flanks(ra, rb, pa, pb)
+        p1 = pa & pb
+        p2 = _truncated_joint(ra, rb, pa, pb)
         disjoint = not (x & y) and not (x & p1) and not (y & p1)
         return disjoint and (x | y | p1) == p2
+
+    def region_identities_hold(self, ra: Region, rb: Region) -> bool:
+        """Every region identity of one pair, decided from four pasts.
+
+        With P1 = J^-(ra) & J^-(rb), flanks X, Y and the enlarged pair
+        (ra|X, rb|Y), this is the conjunction of: ra, rb spacelike; the
+        enlarged pair spacelike; P2 of the enlarged pair equal to P1; X, Y
+        and P1 pairwise disjoint with union P2(ra, rb); and P1 missing
+        ra|rb. Each term is computed from its definition out of J^-(ra),
+        J^-(rb), J^-(ra|X) and J^-(rb|Y), read from the past table. On a
+        spacelike pair it equals verify_crucial_identity(ra, rb).holds and
+        decomposes_truncated_past(ra, rb) and not mutual_past(ra, rb) & (ra|rb);
+        on any other pair it is False.
+        """
+        self._check(ra | rb)
+        # the region algebra written out, not called, since the census runs
+        # this once per spacelike pair; tests hold it to the methods above
+        past = self._past_table
+        pa, pb = past[ra], past[rb]
+        x = pa & ~ra & ~pb
+        y = pb & ~rb & ~pa
+        ea, eb = ra | x, rb | y
+        pea, peb = past[ea], past[eb]
+        p1 = pa & pb
+        return (
+            not (pa & rb or ra & pb)
+            and not (pea & eb or ea & peb)
+            and (pea | peb) & ~(ea | eb) == p1
+            and not (x & y or x & p1 or y & p1)
+            and x | y | p1 == (pa | pb) & ~(ra | rb)
+            and not p1 & (ra | rb)
+        )
 
     # -- sweeps -----------------------------------------------------------
 
@@ -228,7 +286,7 @@ class Causet:
         separation of every cross pair, so the partners of ra are exactly the
         submasks of its causal complement. Cost is O(3^n), not O(4^n).
         """
-        if self.n > 16:
+        if self.n > _SWEEP_LIMIT:
             raise LimitError("spacelike pair sweeps are exponential; causet too large")
         for ra in range(self.full + 1):
             if max_size is not None and _popcount(ra) > max_size:
@@ -246,7 +304,7 @@ class Causet:
                 yield ra, rb
 
     def regions(self) -> Iterator[Region]:
-        if self.n > 16:
+        if self.n > _SWEEP_LIMIT:
             raise LimitError("region sweeps are exponential; causet too large")
         return iter(range(self.full + 1))
 
@@ -288,6 +346,21 @@ class CrucialIdentityReport:
 
 def _popcount(mask: int) -> int:
     return mask.bit_count()
+
+
+# The region algebra on regions r1, r2 and their causal pasts p1, p2.
+
+
+def _spacelike(r1: Region, r2: Region, p1: Region, p2: Region) -> bool:
+    return not (p1 & r2) and not (r1 & p2)
+
+
+def _truncated_joint(r1: Region, r2: Region, p1: Region, p2: Region) -> Region:
+    return (p1 | p2) & ~(r1 | r2)
+
+
+def _flanks(r1: Region, r2: Region, p1: Region, p2: Region) -> tuple[Region, Region]:
+    return (p1 & ~r1) & ~p2, (p2 & ~r2) & ~p1
 
 
 def validate_causet(

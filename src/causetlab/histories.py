@@ -45,6 +45,9 @@ _DIGITS = "0123456789abcdef"
 # Full product spaces beyond this many histories make event masks unwieldy.
 _MAX_HISTORIES = 1 << 20
 
+# The most histories whose 2^size events a canonical dom map will enumerate.
+MAX_ENUMERABLE_HISTORIES = 16
+
 
 class HistorySpace:
     """The product space alphabet^elements with events as history bitmasks."""
@@ -211,10 +214,10 @@ class DomMap:
     def events(self, space: HistorySpace) -> Iterator[Event]:
         """The event universe this map is defined on (all of pow(Omega) when canonical)."""
         if self._mapping is None:
-            if space.size > 16:
+            if space.size > MAX_ENUMERABLE_HISTORIES:
                 raise CapExceededError(
-                    "cannot enumerate all events of a space with more than 16 histories; "
-                    "pass an explicit universe"
+                    "cannot enumerate all events of a space with more than "
+                    f"{MAX_ENUMERABLE_HISTORIES} histories; pass an explicit universe"
                 )
             return iter(range(space.omega + 1))
         return iter(sorted(self._mapping))

@@ -186,6 +186,8 @@ def replay_witness(model: Model, w: Witness) -> tuple[Fraction, Fraction]:
 
 
 Failure = tuple[Region, Region, Event, tuple[tuple[Event, Event], ...]]
+# (region_a, region_b, screener, A, B) of the failing triples a matrix replayed
+Replayed = set[tuple[Region, Region, Event, Event, Event]]
 
 
 @dataclass(frozen=True)
@@ -322,17 +324,23 @@ def _eval_family(
 
 
 def _witnesses(
-    model: Model, principle: str, failures: Sequence[Failure], cap: int, replay: bool
+    model: Model,
+    principle: str,
+    failures: Sequence[Failure],
+    cap: int,
+    replayed: Replayed | None,
 ) -> Iterator[Witness]:
     """Every failing (A, B, C) under the failing screeners, over the capped
     Gamma of both sides in the sweep's order (canonical Gamma ascends by cell
-    subset); each witness is replayed as it is listed when `replay` is set."""
+    subset). Unless `replayed` is None, each witness whose
+    (region_a, region_b, C, A, B) is not in `replayed` is replayed as it is
+    listed."""
     space, dom = model.space, model.dom
     for ra, rb, c, _ in failures:
         gam_a, gam_b = gamma_capped(space, dom, ra, cap)[0], gamma_capped(space, dom, rb, cap)[0]
         for a, b, lhs, rhs in _screen_failures(model.measure, gam_a, gam_b, c):
             w = Witness(principle, ra, rb, a, b, c, lhs, rhs)
-            if replay:
+            if replayed is not None and (ra, rb, c, a, b) not in replayed:
                 _replay(model, w)
             yield w
 
@@ -393,7 +401,7 @@ def _assemble(
     outcomes: list[_PairOutcome],
     zero_mode: str,
     algebra_cap: int,
-    replay: bool = False,
+    replayed: Replayed | None = None,
 ) -> Verdict:
     fam = _FAMILY[principle]
     finite_only = _FINITE_ONLY[principle]
@@ -437,7 +445,7 @@ def _assemble(
         capped=capped,
         counts=counts,
         failures=tuple(failures),
-        iter_witnesses=partial(_witnesses, model, principle, failures, algebra_cap, replay),
+        iter_witnesses=partial(_witnesses, model, principle, failures, algebra_cap, replayed),
         zero_screeners=tuple(zero_cells),
         axiom_warning=warning,
     )
@@ -507,13 +515,17 @@ def implication_matrix(
     consistency; their failure is an implementation bug and aborts. Every
     failing cell triple (canonical doms) or first failing event triple per
     screener (explicit doms) is replayed against the measure before the
-    matrix is returned and must fail there too; the verdicts' witnesses are
-    listed lazily, and each one is replayed as it is listed.
+    matrix is returned and must fail there too. The verdicts share these
+    records (SOk and FIN-SOk read the same sweep), so each distinct
+    (region_a, region_b, C, A, B) is re-checked and replayed once. The
+    verdicts' witnesses are listed lazily, and each one outside those records
+    is replayed as it is listed.
     """
     caps = caps or Caps()
     outcomes = _sweep(model, caps, ("p1", "p2"))
+    replayed: Replayed = set()
     verdicts = {
-        p: _assemble(model, p, outcomes, zero_mode, caps.algebra, replay=True)
+        p: _assemble(model, p, outcomes, zero_mode, caps.algebra, replayed)
         for p in PRINCIPLES
     }
     for strong, weak in (("so1", "fin-so1"), ("so2", "fin-so2")):
@@ -525,6 +537,9 @@ def implication_matrix(
     for verdict in verdicts.values():
         for ra, rb, c, pairs in verdict.failures:
             for a, b in pairs:
+                if (ra, rb, c, a, b) in replayed:
+                    continue
+                replayed.add((ra, rb, c, a, b))
                 found = next(_screen_failures(model.measure, (a,), (b,), c), None)
                 if found is None:
                     raise InternalConsistencyError("a recorded failing pair screens off on replay")
@@ -622,7 +637,7 @@ def replicate_so1_to_so2(
     precheck_failures = 0
     for pa, pb in ((ra, rb), (ea, eb)):
         failing = _eval_family(model, pa, pb, causet.mutual_past(pa, pb), caps.algebra).failing
-        precheck_failures += sum(1 for _ in _witnesses(model, "so1", failing, caps.algebra, False))
+        precheck_failures += sum(1 for _ in _witnesses(model, "so1", failing, caps.algebra, None))
     if precheck_failures:
         return ReplicationReport(ra, rb, False, precheck_failures, ())
 

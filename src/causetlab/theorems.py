@@ -8,14 +8,16 @@ any failures. The laws:
   again spacelike, its truncated joint past equals the original mutual past,
   the truncated joint past decomposes disjointly into the two flanks and the
   mutual past, and the mutual past avoids both regions (so truncating it
-  would change nothing).
+  would change nothing). Each pair is decided in one pass from four causal
+  pasts; a failing pair's report is built by the reference methods
+  `verify_crucial_identity` and `decomposes_truncated_past`.
 - partition law: full specifications of any region partition the history
   space, with exactly alphabet^|region| cells.
 - composition law: full specifications of a disjoint union are exactly the
   pairwise intersections of full specifications of the parts.
 - dom axioms: the canonical least-domain construction satisfies all four
-  axioms, exhaustively on small spaces and on seeded random events at the
-  next size up.
+  axioms, exhaustively on spaces of at most 16 histories and on seeded
+  random events at the sizes above.
 - replication: on every uniform product model that satisfies SO1, the
   derivation steps toward SO2 all check out and the composed screeners
   exhaust the truncated-joint-past specifications.
@@ -28,8 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .causet import _popcount
-from .errors import LabError, LimitError
+from .errors import InternalConsistencyError, LabError, LimitError
 from .histories import (
+    MAX_ENUMERABLE_HISTORIES,
     DomMap,
     HistorySpace,
     check_dom_axioms,
@@ -70,27 +73,39 @@ class SuiteResult:
 
 def region_identity_suite(max_elements: int) -> SuiteResult:
     """Enlarged-pair identity + truncated-past decomposition, all causets,
-    all unordered spacelike region pairs."""
+    all unordered spacelike region pairs.
+
+    Each pair is decided in one pass by `Causet.region_identities_hold`.
+    A pair it fails is re-checked by `verify_crucial_identity` and
+    `decomposes_truncated_past`, which build the failure report; if they
+    pass it, the two disagree and that is an internal-consistency failure.
+    """
     checked = 0
     failures = []
     for n in range(1, max_elements + 1):
         for idx, causet in enumerate(enumerate_causets(n)):
             for ra, rb in causet.spacelike_pairs():
                 checked += 1
+                if causet.region_identities_hold(ra, rb):
+                    continue
                 report = causet.verify_crucial_identity(ra, rb)
                 decomposes = causet.decomposes_truncated_past(ra, rb)
                 untruncated = causet.mutual_past(ra, rb) & (ra | rb) == 0
-                if not (report.holds and decomposes and untruncated):
-                    failures.append({
-                        "n": n,
-                        "causet_index": idx,
-                        "relations": [list(p) for p in causet.relation_pairs()],
-                        "region_a": list(causet.labels(ra)),
-                        "region_b": list(causet.labels(rb)),
-                        "identity": report.to_json(causet),
-                        "decomposes": decomposes,
-                        "mutual_past_avoids_regions": untruncated,
-                    })
+                if report.holds and decomposes and untruncated:
+                    raise InternalConsistencyError(
+                        "the one-pass region identity check fails a pair "
+                        "that the reference methods pass"
+                    )
+                failures.append({
+                    "n": n,
+                    "causet_index": idx,
+                    "relations": [list(p) for p in causet.relation_pairs()],
+                    "region_a": list(causet.labels(ra)),
+                    "region_b": list(causet.labels(rb)),
+                    "identity": report.to_json(causet),
+                    "decomposes": decomposes,
+                    "mutual_past_avoids_regions": untruncated,
+                })
     return SuiteResult("region-identities", checked, tuple(failures))
 
 
@@ -176,7 +191,8 @@ def dom_axiom_suite(
     seed: int | str = 0,
 ) -> SuiteResult:
     """Canonical dom against axioms 1-4: exhaustive up to exhaustive_max
-    elements, seeded random events at sampled_elements."""
+    elements, seeded random events at every size above that up to
+    sampled_elements."""
     checked = 0
     failures = []
     dom = DomMap.canonical()
@@ -195,11 +211,12 @@ def dom_axiom_suite(
     for n in range(1, exhaustive_max + 1):
         for idx, causet in enumerate(enumerate_causets(n)):
             run(n, idx, HistorySpace(causet, alphabet), None)
-    if sampled_elements and sampled_events:
-        for idx, causet in enumerate(enumerate_causets(sampled_elements)):
-            space = HistorySpace(causet, alphabet)
-            universe = sample_events(space, sampled_events, f"{seed}:{idx}")
-            run(sampled_elements, idx, space, universe)
+    if sampled_events:
+        for n in range(exhaustive_max + 1, sampled_elements + 1):
+            for idx, causet in enumerate(enumerate_causets(n)):
+                space = HistorySpace(causet, alphabet)
+                universe = sample_events(space, sampled_events, f"{seed}:{idx}")
+                run(n, idx, space, universe)
     return SuiteResult("dom-axioms", checked, tuple(failures))
 
 
@@ -247,20 +264,26 @@ def run_all(
 ) -> dict:
     """The full provable-step battery; product-space suites run at
     min(max_elements, 4) unless overridden (their cost grows much faster
-    than the pure region sweeps). Both sizes are checked against the
-    enumeration limit before any suite runs."""
+    than the pure region sweeps). The dom axioms are checked on all events
+    up to 3 elements but never on more than MAX_ENUMERABLE_HISTORIES
+    histories; the sizes above that, up to 4, are checked on sampled events.
+    Both sizes are checked against the enumeration limit before any suite
+    runs."""
     for name, size in (("max_elements", max_elements), ("max_product_elements", max_product_elements)):
         if size is not None and not 1 <= size <= HARD_ENUMERATION_LIMIT:
             raise LimitError(f"{name} must be between 1 and {HARD_ENUMERATION_LIMIT}, got {size}")
     product_max = min(max_elements, 4) if max_product_elements is None else max_product_elements
+    exhaustive_max = min(product_max, 3)
+    while alphabet ** exhaustive_max > MAX_ENUMERABLE_HISTORIES:
+        exhaustive_max -= 1
     suites = [
         region_identity_suite(max_elements),
         partition_suite(product_max, alphabet),
         composition_suite(product_max, alphabet),
         dom_axiom_suite(
-            exhaustive_max=min(product_max, 3),
+            exhaustive_max=exhaustive_max,
             alphabet=alphabet,
-            sampled_elements=4 if product_max >= 4 else 0,
+            sampled_elements=min(product_max, 4),
             seed=seed,
         ),
         replication_suite(product_max, alphabet, caps),

@@ -8,6 +8,7 @@ from causetlab import (
     CycleError,
     DuplicateElementError,
     ForeignRegionError,
+    LimitError,
     NotSpacelikeError,
     enumerate_causets,
     validate_causet,
@@ -85,11 +86,27 @@ def test_memoised_past_matches_definition_cold_and_warm():
                     if r >> i & 1:
                         out |= c._below[i]
                 expected.append(out)
-            for _ in range(2):  # the first pass fills the memo, the second reads it
+            for _ in range(2):  # the first pass builds the table, the second reads it
                 assert [c.past(r) for r in range(c.full + 1)] == expected
+            assert list(c._past_table) == expected
             for foreign in (c.full + 1, 1 << n, -1):
                 with pytest.raises(ForeignRegionError):
                     c.past(foreign)
+                with pytest.raises(ForeignRegionError):
+                    c.region_identities_hold(foreign, 0)
+
+
+def test_past_beyond_the_table_limit():
+    # 17 elements is past the table's limit: past() joins point pasts
+    # instead, and the table and the region sweeps refuse to start
+    labels = [f"e{i}" for i in range(17)]
+    chain = validate_causet(labels, list(zip(labels, labels[1:])))
+    assert chain.past(1 << 16) == chain.full
+    assert chain.past(1 << 3 | 1 << 1) == 0b1111
+    with pytest.raises(LimitError):
+        chain.region_identities_hold(1, 2)
+    with pytest.raises(LimitError):
+        next(chain.spacelike_pairs())
 
 
 def test_spacelike_diamond_wings(diamond):

@@ -274,6 +274,16 @@ def test_theorems_command_small():
     }
 
 
+def test_theorems_command_ternary():
+    # 3^3 histories are too many to enumerate every event, so the dom
+    # axioms run exhaustively up to 2 elements and are sampled at 3
+    proc = run_cli("theorems", "--alphabet", "3", "--max-elements", "3")
+    assert proc.returncode == 0
+    data = json.loads(proc.stdout)
+    assert data["passed"] is True
+    assert all(suite["checked"] > 0 for suite in data["suites"].values())
+
+
 def test_hunt_command_jsonl_and_exit_code():
     proc = run_cli("hunt", "--max-elements", "2", "--include-perfect", "--seed", "0")
     assert proc.returncode == 1  # findings present

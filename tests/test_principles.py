@@ -12,6 +12,7 @@ from causetlab import (
     DomAxiomError,
     DomMap,
     HistorySpace,
+    InternalConsistencyError,
     MeasureTable,
     Model,
     NotSpacelikeError,
@@ -217,6 +218,58 @@ def test_anti2_perf_matrix_separates_finite_from_infinite(anti2_perf_model):
     assert matrix.implications["so1=>fin-so1"]
     assert matrix.implications["so2=>fin-so2"]
     assert not matrix.implications["fin-so2=>so2"]
+
+
+def _v_copy_model() -> Model:
+    # a and b copy one fair coin that their common past p does not see, so
+    # conditioning on p leaves them correlated on finite and infinite pairs
+    causet = validate_causet(["p", "a", "b"], [("p", "a"), ("p", "b")])
+    space = HistorySpace(causet, 2)
+    weights = {"000": "1/4", "011": "1/4", "100": "1/4", "111": "1/4"}
+    return Model.build(space, MeasureTable.from_weights(space, weights))
+
+
+def test_matrix_replays_each_distinct_failing_triple_once(monkeypatch):
+    import causetlab.principles as principles
+
+    calls = []
+    real = principles.replay_witness
+
+    def counted(model, w):
+        calls.append((w.region_a, w.region_b, w.screener, w.event_a, w.event_b))
+        return real(model, w)
+
+    monkeypatch.setattr(principles, "replay_witness", counted)
+    matrix = implication_matrix(_v_copy_model())
+    assert matrix.bits == "0000"
+    records = [
+        (ra, rb, c, a, b)
+        for verdict in matrix.verdicts.values()
+        for ra, rb, c, pairs in verdict.failures
+        for a, b in pairs
+    ]
+    assert len(records) > len(set(records))  # SOk and FIN-SOk share them
+    assert sorted(calls) == sorted(set(records))
+    # every witness here is a recorded cell pair, so listing replays none
+    del calls[:]
+    assert all(verdict.witnesses for verdict in matrix.verdicts.values())
+    assert calls == []
+
+
+def test_matrix_rejects_a_tampered_recorded_pair(monkeypatch):
+    import causetlab.principles as principles
+
+    real = principles._eval_family
+
+    def tampered(*args):
+        out = real(*args)
+        # the empty event pair screens off under every screener
+        out.failing = [(ra, rb, c, ((0, 0),) + pairs[1:]) for ra, rb, c, pairs in out.failing]
+        return out
+
+    monkeypatch.setattr(principles, "_eval_family", tampered)
+    with pytest.raises(InternalConsistencyError, match="screens off on replay"):
+        implication_matrix(_v_copy_model())
 
 
 def test_diamond_uniform_matrix_all_satisfied(diamond):

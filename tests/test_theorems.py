@@ -1,5 +1,11 @@
 """Shape and coverage of the provable-step suites."""
 
+import random
+
+import pytest
+
+import causetlab.theorems as theorems
+from causetlab import Causet, InternalConsistencyError
 from causetlab.principles import Caps
 from causetlab.theorems import (
     composition_suite,
@@ -21,6 +27,77 @@ def test_region_suite_counts_every_spacelike_pair():
         for causet in __import__("causetlab").enumerate_causets(n)
         for _ in causet.spacelike_pairs()
     )
+
+
+def _unclosed_dags(per_size: int, seed: int = 0):
+    # Seeded random DAGs on 3-5 elements whose relation is not transitively
+    # closed. Built with the internal constructor, they break the order laws
+    # the region identities rest on, so the identities fail on some pairs.
+    rng = random.Random(seed)
+    for n in (3, 4, 5):
+        made = 0
+        while made < per_size:
+            above = [0] * n
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < 0.5:
+                        above[i] |= 1 << j
+            if all(above[j] & ~above[i] == 0 for i in range(n) for j in range(n) if above[i] >> j & 1):
+                continue
+            made += 1
+            yield Causet([f"e{i}" for i in range(n)], above)
+
+
+def _reference_verdict(causet, ra, rb):
+    report = causet.verify_crucial_identity(ra, rb)
+    decomposes = causet.decomposes_truncated_past(ra, rb)
+    untruncated = causet.mutual_past(ra, rb) & (ra | rb) == 0
+    return report, decomposes, untruncated
+
+
+def test_one_pass_check_equals_the_reference_methods_where_they_fail():
+    outcomes = {True: 0, False: 0}
+    broken = {"identity": 0, "enlarged_spacelike": 0}
+    for causet in _unclosed_dags(20):
+        for ra, rb in causet.spacelike_pairs():
+            report, decomposes, untruncated = _reference_verdict(causet, ra, rb)
+            expected = report.holds and decomposes and untruncated
+            assert causet.region_identities_hold(ra, rb) == expected, (causet, ra, rb)
+            outcomes[expected] += 1
+            broken["identity"] += report.enlarged_spacelike and not report.identity_holds
+            broken["enlarged_spacelike"] += report.identity_holds and not report.enlarged_spacelike
+    # each term fails on its own somewhere, so dropping either would show
+    assert outcomes[False] > 100 and outcomes[True] > 100
+    assert broken["identity"] > 0 and broken["enlarged_spacelike"] > 0
+
+
+def test_region_suite_reports_what_the_reference_methods_report(monkeypatch):
+    causet = next(_unclosed_dags(1))
+    expected = []
+    for ra, rb in causet.spacelike_pairs():
+        report, decomposes, untruncated = _reference_verdict(causet, ra, rb)
+        if not (report.holds and decomposes and untruncated):
+            expected.append({
+                "n": 1,
+                "causet_index": 0,
+                "relations": [list(p) for p in causet.relation_pairs()],
+                "region_a": list(causet.labels(ra)),
+                "region_b": list(causet.labels(rb)),
+                "identity": report.to_json(causet),
+                "decomposes": decomposes,
+                "mutual_past_avoids_regions": untruncated,
+            })
+    assert expected
+    monkeypatch.setattr(theorems, "enumerate_causets", lambda n: iter([causet]))
+    suite = region_identity_suite(1)
+    assert suite.checked == sum(1 for _ in causet.spacelike_pairs())
+    assert list(suite.failures) == expected
+
+
+def test_region_suite_flags_a_one_pass_check_that_disagrees(monkeypatch):
+    monkeypatch.setattr(Causet, "region_identities_hold", lambda self, ra, rb: False)
+    with pytest.raises(InternalConsistencyError):
+        region_identity_suite(2)
 
 
 def test_partition_suite_region_count():
