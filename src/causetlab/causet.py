@@ -292,16 +292,13 @@ class Causet:
             if max_size is not None and _popcount(ra) > max_size:
                 continue
             allowed = self.causal_complement(ra)
-            subs = []
-            rb = allowed
-            while True:
+            rb = 0
+            while True:  # the submasks of allowed, ascending
                 if rb >= ra and (max_size is None or _popcount(rb) <= max_size):
-                    subs.append(rb)
+                    yield ra, rb
+                rb = (rb - allowed) & allowed
                 if rb == 0:
                     break
-                rb = (rb - 1) & allowed
-            for rb in sorted(subs):
-                yield ra, rb
 
     def regions(self) -> Iterator[Region]:
         if self.n > _SWEEP_LIMIT:

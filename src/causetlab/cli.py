@@ -27,7 +27,7 @@ from .modelio import (
     causet_from_data,
     causet_to_data,
     load_json_file,
-    model_from_data,
+    load_model,
     parse_event,
     parse_region,
 )
@@ -145,10 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_model(args: argparse.Namespace, force: bool = False):
-    return model_from_data(load_json_file(args.model), force=force)
-
-
 def cmd_validate(args) -> int:
     data = load_json_file(args.model)
     causet = causet_from_data(data)
@@ -199,7 +195,7 @@ def cmd_regions(args) -> int:
 def cmd_fullspec(args) -> int:
     from .histories import full_specifications, is_partition
 
-    model = _load_model(args)
+    model = load_model(args.model)
     region = parse_region(model.causet, args.region)
     cells = full_specifications(model.space, model.dom, region)
     partition = is_partition(model.space, cells)
@@ -216,7 +212,7 @@ def cmd_fullspec(args) -> int:
 def cmd_dom_axioms(args) -> int:
     from .histories import check_dom_axioms, sample_events
 
-    model = _load_model(args, force=True)
+    model = load_model(args.model, force=True)
     universe = None
     if args.events:
         universe = sample_events(model.space, args.events, args.seed)
@@ -229,7 +225,7 @@ def cmd_dom_axioms(args) -> int:
 
 
 def cmd_ccs(args) -> int:
-    model = _load_model(args)
+    model = load_model(args.model)
     m = model.measure
     a = parse_event(model.space, args.a)
     b = parse_event(model.space, args.b)
@@ -259,7 +255,7 @@ def cmd_ccs(args) -> int:
 
 
 def cmd_check(args) -> int:
-    model = _load_model(args, force=args.force)
+    model = load_model(args.model, force=args.force)
     caps = Caps.parse(args.caps)
     out: dict = {"conventions": _conventions(args.zero_screener), "caps": caps.to_json()}
     if args.principle == "all":
@@ -285,7 +281,7 @@ def _pair_sweep(args, model, caps):
 
 
 def cmd_replicate(args) -> int:
-    model = _load_model(args)
+    model = load_model(args.model)
     caps = Caps.parse(args.caps)
     reports = [
         replicate_so1_to_so2(model, ra, rb, caps).to_json(model)
@@ -301,7 +297,7 @@ def cmd_replicate(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    model = _load_model(args)
+    model = load_model(args.model)
     caps = Caps.parse(args.caps)
     reports = [
         gap_closure_check(model, ra, rb).to_json(model)

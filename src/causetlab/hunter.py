@@ -159,11 +159,11 @@ def _representatives(n: int) -> list[tuple[int, ...]]:
     return reps
 
 
-def enumerate_causets(n: int, hard_limit: int = HARD_ENUMERATION_LIMIT) -> Iterator[Causet]:
+def enumerate_causets(n: int) -> Iterator[Causet]:
     """All causets on exactly n elements up to order-isomorphism, canonical
     labels e0..e{n-1}, deterministic order."""
-    if n < 1 or n > hard_limit:
-        raise LimitError(f"enumeration supports 1 <= n <= {hard_limit}, got {n}")
+    if n < 1 or n > HARD_ENUMERATION_LIMIT:
+        raise LimitError(f"enumeration supports 1 <= n <= {HARD_ENUMERATION_LIMIT}, got {n}")
     for lt in _representatives(n):
         yield _causet_from_rows(lt)
 
@@ -173,9 +173,9 @@ def _causet_from_rows(lt: Sequence[int]) -> Causet:
     return Causet(labels, tuple(lt))
 
 
-def count_causets(n: int, hard_limit: int = HARD_ENUMERATION_LIMIT) -> int:
-    if n < 1 or n > hard_limit:
-        raise LimitError(f"enumeration supports 1 <= n <= {hard_limit}, got {n}")
+def count_causets(n: int) -> int:
+    if n < 1 or n > HARD_ENUMERATION_LIMIT:
+        raise LimitError(f"enumeration supports 1 <= n <= {HARD_ENUMERATION_LIMIT}, got {n}")
     return len(_representatives(n))
 
 
@@ -210,7 +210,6 @@ class SearchConfig:
     filters: tuple[str, ...] = ()
     include_perfect: bool = False
     zero_mode: str = "vacuous"
-    hard_limit: int = HARD_ENUMERATION_LIMIT
 
     def __post_init__(self):
         if self.max_elements < 1:
@@ -451,8 +450,8 @@ def hunt(
     the recorded totals, so the summary equals that of an uninterrupted run
     (previously emitted findings are not re-emitted).
     """
-    if config.max_elements > config.hard_limit:
-        raise LimitError(f"max_elements exceeds the hard limit {config.hard_limit}")
+    if config.max_elements > HARD_ENUMERATION_LIMIT:
+        raise LimitError(f"max_elements exceeds the hard limit {HARD_ENUMERATION_LIMIT}")
     tasks = []
     index = 0
     for n in range(1, config.max_elements + 1):

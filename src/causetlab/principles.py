@@ -18,6 +18,8 @@ comparison that the derivation itself leaves open.
 Canonical doms are decided on pairs of Phi cells, explicit doms event by
 event (see `_eval_family`). A verdict keeps only the failing pairs and lists
 its witnesses, every failing event triple of the sweep, lazily from them.
+Replication steps 1-2 are decided on the same events (`_decision_events`)
+and list their failures only for a failing screener block.
 
 Verdicts are deterministic: identical model and caps give byte-identical
 reports. The matrix checker replays every recorded failing pair against the
@@ -29,7 +31,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import islice
 from typing import Callable, Iterator, Sequence
 
@@ -49,7 +51,7 @@ from .histories import (
     full_specifications,
     gamma_capped,
 )
-from .measure import MeasureTable
+from .measure import MeasureTable, screens_off
 
 PRINCIPLES = ("so1", "so2", "fin-so1", "fin-so2")
 
@@ -264,6 +266,22 @@ def _algebra_size(space: HistorySpace, region: Region, cap: int) -> tuple[int, b
     return min(1 << k, cap), cap < 1 << k
 
 
+def _decision_events(
+    space: HistorySpace, dom: DomMap, region: Region, cap: int
+) -> tuple[list[Event], int, bool]:
+    """(events, take, truncated): the events a capped decision over
+    Gamma(region) ranges over, how many events the cap takes, and whether it
+    leaves some out. Canonical doms: the Phi cells whose singleton event
+    (encoding 1 << j) lies in the capped prefix of Gamma, which holds only
+    unions of them. Explicit doms: the capped Gamma itself."""
+    if dom.is_canonical:
+        take, truncated = _algebra_size(space, region, cap)
+        cells = space.phi_cells(region)
+        return [cell for j, cell in enumerate(cells) if 1 << j < take], take, truncated
+    events, truncated = gamma_capped(space, dom, region, cap)
+    return events, len(events), truncated
+
+
 def _screen_failures(
     measure: MeasureTable, events_a: Sequence[Event], events_b: Sequence[Event], c: Event
 ) -> Iterator[tuple[Event, Event, Fraction, Fraction]]:
@@ -291,23 +309,14 @@ def _eval_family(
     Canonical doms: every event of Gamma(R) is a union of Phi(R) cells, and
     mu(A&B&C) mu(C) - mu(A&C) mu(B&C) is bilinear in the cell indicators of
     A and B, so C fails on some event pair iff it fails on a cell pair inside
-    it. Only cells whose singleton event (encoding 1 << j) lies in the capped
-    prefix of Gamma are used, so the decision is exact under any algebra cap.
+    it; `_decision_events` keeps the decision exact under any algebra cap.
     Explicit doms: the direct loop over Gamma, up to each screener's first
     failure. The counts are those of the full sweep either way.
     """
     space, measure, dom = model.space, model.measure, model.dom
     out = _FamilyOutcome()
-    if dom.is_canonical:
-        cells_a, cells_b = space.phi_cells(ra), space.phi_cells(rb)
-        take_a, trunc_a = _algebra_size(space, ra, cap)
-        take_b, trunc_b = _algebra_size(space, rb, cap)
-        events_a = [cell for j, cell in enumerate(cells_a) if 1 << j < take_a]
-        events_b = [cell for l, cell in enumerate(cells_b) if 1 << l < take_b]
-    else:
-        events_a, trunc_a = gamma_capped(space, dom, ra, cap)
-        events_b, trunc_b = gamma_capped(space, dom, rb, cap)
-        take_a, take_b = len(events_a), len(events_b)
+    events_a, take_a, trunc_a = _decision_events(space, dom, ra, cap)
+    events_b, take_b, trunc_b = _decision_events(space, dom, rb, cap)
     out.truncated = trunc_a or trunc_b
     out.event_pairs = take_a * take_b
     for cell_c in full_specifications(space, dom, screener_region):
@@ -350,15 +359,11 @@ def _trivial_outcome(model: Model, ra: Region, rb: Region, screener_region: Regi
     # and mu(A&B|C) = mu(A|C)mu(B|C) holds identically for those, for every
     # measure: nothing to evaluate, but the coverage is real and counted,
     # and a cap that cuts either algebra short marks the verdict capped.
-    out = _FamilyOutcome()
     size_a, trunc_a = _algebra_size(model.space, ra, cap)
     size_b, trunc_b = _algebra_size(model.space, rb, cap)
-    out.truncated = trunc_a or trunc_b
     n_screeners = model.space.q ** _popcount(screener_region)
-    out.screeners = n_screeners
-    out.event_pairs = size_a * size_b
-    out.tests = size_a * size_b * n_screeners
-    return out
+    return _FamilyOutcome(screeners=n_screeners, event_pairs=size_a * size_b,
+                          tests=size_a * size_b * n_screeners, truncated=trunc_a or trunc_b)
 
 
 def _sweep(model: Model, caps: Caps, families: tuple[str, ...]) -> list[_PairOutcome]:
@@ -606,6 +611,20 @@ class ReplicationReport:
         }
 
 
+def _step1_failures(
+    measure: MeasureTable, events_a: Sequence[Event], events_b: Sequence[Event], x: Event, y: Event, c: Event
+) -> Iterator[tuple[str, Event, Event]]:
+    """Every pair of step 1 that C fails to screen off: (X, Y) first, then
+    the A/B pairs over events_a x events_b, row-major in (A, B), by kind."""
+    if not screens_off(measure, x, y, c):
+        yield "X,Y", x, y
+    for a in events_a:
+        for b in events_b:
+            for kind, e1, e2 in (("A&X,B&Y", a & x, b & y), ("A&X,B", a & x, b), ("A,B&Y", a, b & y)):
+                if not screens_off(measure, e1, e2, c):
+                    yield kind, e1, e2
+
+
 def replicate_so1_to_so2(
     model: Model,
     ra: Region,
@@ -625,92 +644,73 @@ def replicate_so1_to_so2(
     ra, Y of the flank of rb: (A&X, B&Y), (A&X, B), (A, B&Y), (X, Y).
     Step 2: whenever mu(X&Y&C) > 0, conditioning on X&Y&C factorizes A and B.
     Step 3: C&X&Y is a (nonempty) full specification of P2(ra, rb).
+
+    Steps 1-2 are decided per (X, Y, C) block on cells, like the sweep; only
+    a failing block lists its failures over the capped Gamma. With canonical
+    doms and an untruncated precheck they follow from SO1 on the enlarged
+    pair (decomposition, weak union), so a failure there raises
+    InternalConsistencyError.
     """
     caps = caps or Caps()
     space, measure, dom, causet = model.space, model.measure, model.dom, model.causet
     if not causet.is_spacelike(ra, rb):
         raise NotSpacelikeError("replication needs a spacelike pair")
     x, y = causet.flank_regions(ra, rb)
-    ea, eb = ra | x, rb | y
-    p1 = causet.mutual_past(ra, rb)
-
-    precheck_failures = 0
-    for pa, pb in ((ra, rb), (ea, eb)):
-        failing = _eval_family(model, pa, pb, causet.mutual_past(pa, pb), caps.algebra).failing
-        precheck_failures += sum(1 for _ in _witnesses(model, "so1", failing, caps.algebra, None))
+    prechecks = [
+        _eval_family(model, pa, pb, causet.mutual_past(pa, pb), caps.algebra)
+        for pa, pb in ((ra, rb), (ra | x, rb | y))
+    ]
+    precheck_failures = sum(
+        1 for o in prechecks for _ in _witnesses(model, "so1", o.failing, caps.algebra, None)
+    )
     if precheck_failures:
         return ReplicationReport(ra, rb, False, precheck_failures, ())
-
-    gam_a, _ = gamma_capped(space, dom, ra, caps.algebra)
-    gam_b, _ = gamma_capped(space, dom, rb, caps.algebra)
+    events_a, take_a, _ = _decision_events(space, dom, ra, caps.algebra)
+    events_b, take_b, _ = _decision_events(space, dom, rb, caps.algebra)
+    gamma = cache(lambda r: gamma_capped(space, dom, r, caps.algebra)[0])
     phi_x = full_specifications(space, dom, x)
     phi_y = full_specifications(space, dom, y)
-    phi_p1 = full_specifications(space, dom, p1)
+    phi_p1 = full_specifications(space, dom, causet.mutual_past(ra, rb))
     phi_p2 = set(full_specifications(space, dom, causet.truncated_joint_past(ra, rb)))
 
-    step1_failures: list[dict] = []
-    step2_failures: list[dict] = []
-    step3_failures: list[dict] = []
+    step1: list[dict] = []
+    step2: list[dict] = []
+    step3: list[dict] = []
     checked1 = checked2 = checked3 = 0
     keys = space.event_keys
-    mass = measure.mass
-
-    def step1_failure(name: str, e1: Event, e2: Event, c: Event) -> None:
-        step1_failures.append({
-            "pair": name, "event_1": keys(e1), "event_2": keys(e2), "screener": keys(c),
-        })
-
     for cell_x in phi_x:
         for cell_y in phi_y:
             for cell_c in phi_p1:
                 checked3 += 1
                 k = cell_c & cell_x & cell_y
                 if k == 0 or k not in phi_p2:
-                    step3_failures.append({
+                    step3.append({
                         "x": keys(cell_x), "y": keys(cell_y), "c": keys(cell_c),
                         "reason": "C&X&Y is not a full specification of the truncated joint past",
                     })
-                # Steps 1 and 2 compare integer masses, degree 2 on both
-                # sides. K lies inside C, so mu(K) > 0 only if mu(C) > 0;
-                # A&X&B&Y&C is A&B&K, and every mass not involving both A
-                # and B is taken once per A or per B under this screener.
-                mc = mass(cell_c)
-                if mc == 0:
+                # K lies inside C, so mu(K) > 0 only if mu(C) > 0
+                if measure.mass(cell_c) == 0:
                     continue
-                mk = mass(k)
-                checked1 += 1 + 3 * len(gam_a) * len(gam_b)
-                if mk:
-                    checked2 += len(gam_a) * len(gam_b)
-                if mk * mc != mass(cell_x & cell_c) * mass(cell_y & cell_c):
-                    step1_failures.append({
-                        "pair": "X,Y", "x": keys(cell_x), "y": keys(cell_y),
-                        "screener": keys(cell_c),
-                    })
-                b_masses = [
-                    (b, mass(b & cell_c), mass(b & cell_y & cell_c), mass(b & k)) for b in gam_b
-                ]
-                for a in gam_a:
-                    ac = a & cell_c
-                    axc = ac & cell_x
-                    ma, max_, mak = mass(ac), mass(axc), mass(a & k)
-                    for b, mb, mby, mbk in b_masses:
-                        mabk = mass(axc & b & cell_y)
-                        if mabk * mc != max_ * mby:
-                            step1_failure("A&X,B&Y", a & cell_x, b & cell_y, cell_c)
-                        if mass(axc & b) * mc != max_ * mb:
-                            step1_failure("A&X,B", a & cell_x, b, cell_c)
-                        if mass(ac & b & cell_y) * mc != ma * mby:
-                            step1_failure("A,B&Y", a, b & cell_y, cell_c)
-                        if mk and mak * mbk != mabk * mk:
-                            step2_failures.append({
-                                "a": keys(a), "b": keys(b), "k": keys(k),
-                                "lhs": Fraction(mak * mbk, mk * mk),
-                                "rhs": Fraction(mabk, mk),
-                            })
+                checked1 += 1 + 3 * take_a * take_b
+                block = (cell_x, cell_y, cell_c)
+                if next(_step1_failures(measure, events_a, events_b, *block), None):
+                    for kind, e1, e2 in _step1_failures(measure, gamma(ra), gamma(rb), *block):
+                        side1, side2 = ("x", "y") if kind == "X,Y" else ("event_1", "event_2")
+                        step1.append({"pair": kind, side1: keys(e1), side2: keys(e2), "screener": keys(cell_c)})
+                if measure.mass(k) == 0:
+                    continue
+                checked2 += take_a * take_b
+                if next(_screen_failures(measure, events_a, events_b, k), None):
+                    step2.extend(
+                        {"a": keys(a), "b": keys(b), "k": keys(k), "lhs": product, "rhs": joint}
+                        for a, b, joint, product in _screen_failures(measure, gamma(ra), gamma(rb), k)
+                    )
+    if (step1 or step2) and dom.is_canonical and not any(o.truncated for o in prechecks):
+        raise InternalConsistencyError("replication steps 1-2 fail after an untruncated canonical SO1 precheck")
     steps = (
-        StepResult(1, not step1_failures, checked1, tuple(step1_failures)),
-        StepResult(2, not step2_failures, checked2, tuple(step2_failures)),
-        StepResult(3, not step3_failures, checked3, tuple(step3_failures)),
+        StepResult(1, not step1, checked1, tuple(step1)),
+        StepResult(2, not step2, checked2, tuple(step2)),
+        StepResult(3, not step3, checked3, tuple(step3)),
     )
     return ReplicationReport(ra, rb, True, 0, steps)
 

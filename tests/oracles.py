@@ -163,13 +163,13 @@ def brute_prob(measure, event):
     )
 
 
-def brute_screens(measure, a, b, c):
-    pc = brute_prob(measure, c)
+def brute_screens(measure, a, b, c, prob=brute_prob):
+    pc = prob(measure, c)
     if pc == 0:
         return True
-    return brute_prob(measure, a & b & c) / pc == (
-        brute_prob(measure, a & c) / pc
-    ) * (brute_prob(measure, b & c) / pc)
+    return prob(measure, a & b & c) / pc == (
+        prob(measure, a & c) / pc
+    ) * (prob(measure, b & c) / pc)
 
 
 def brute_partitions(size):
@@ -193,3 +193,46 @@ def brute_partitions(size):
 
     rec(0, [])
     return out
+
+
+def brute_replication_steps(measure, gam_a, gam_b, phi_x, phi_y, phi_p1):
+    """Steps 1 and 2 of the SO1 => SO2 replication as (checked, failures):
+    the literal loop over X, Y, C and then A, B in the orders given, every
+    test decided by Fraction arithmetic. Step-1 failures of one (A, B) come
+    in the order A&X,B&Y / A&X,B / A,B&Y, after the block's X,Y failure."""
+    keys = measure.space.event_keys
+    memo = {}
+
+    def prob(measure, e):
+        # brute_prob once per event: the loop asks for the same events often
+        if e not in memo:
+            memo[e] = brute_prob(measure, e)
+        return memo[e]
+
+    step1, step2 = [], []
+    checked1 = checked2 = 0
+    for x in phi_x:
+        for y in phi_y:
+            for c in phi_p1:
+                if prob(measure, c) == 0:
+                    continue
+                k = c & x & y
+                pk = prob(measure, k)
+                checked1 += 1 + 3 * len(gam_a) * len(gam_b)
+                checked2 += len(gam_a) * len(gam_b) if pk else 0
+                if not brute_screens(measure, x, y, c, prob):
+                    step1.append({"pair": "X,Y", "x": keys(x), "y": keys(y), "screener": keys(c)})
+                for a in gam_a:
+                    for b in gam_b:
+                        for kind, e1, e2 in (("A&X,B&Y", a & x, b & y), ("A&X,B", a & x, b),
+                                             ("A,B&Y", a, b & y)):
+                            if not brute_screens(measure, e1, e2, c, prob):
+                                step1.append({"pair": kind, "event_1": keys(e1),
+                                              "event_2": keys(e2), "screener": keys(c)})
+                        if pk and not brute_screens(measure, a, b, k, prob):
+                            step2.append({
+                                "a": keys(a), "b": keys(b), "k": keys(k),
+                                "lhs": prob(measure, a & k) / pk * (prob(measure, b & k) / pk),
+                                "rhs": prob(measure, a & b & k) / pk,
+                            })
+    return (checked1, step1), (checked2, step2)

@@ -296,9 +296,12 @@ def test_spacelike_pairs_enumeration_matches_definition(c):
     # the submask-of-complement enumeration equals the definitional filter
     from itertools import product
 
-    expected = {
-        (ra, rb)
-        for ra, rb in product(range(c.full + 1), repeat=2)
-        if ra <= rb and c.is_spacelike(ra, rb)
-    }
-    assert set(c.spacelike_pairs()) == expected
+    for max_size in (None, 1, 2):
+        expected = {
+            (ra, rb)
+            for ra, rb in product(range(c.full + 1), repeat=2)
+            if ra <= rb and c.is_spacelike(ra, rb)
+            and (max_size is None or max(bin(ra).count("1"), bin(rb).count("1")) <= max_size)
+        }
+        # every pair once, ascending in (ra, rb)
+        assert list(c.spacelike_pairs(max_size)) == sorted(expected)

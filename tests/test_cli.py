@@ -171,6 +171,28 @@ def test_internal_consistency_failure_exits_3(data_dir, monkeypatch, capsys):
     assert err.startswith("causetlab check: internal consistency failure: ")
 
 
+@pytest.mark.parametrize("truncated", [False, True])
+def test_replication_step_failure_after_an_exact_precheck_exits_3(truncated, data_dir,
+                                                                  monkeypatch, capsys):
+    # steps 1-2 follow from an untruncated canonical SO1 precheck, so forcing
+    # that precheck to pass on a model violating SO1 exposes a bug (exit 3);
+    # after a truncated precheck the step failures are findings (exit 1)
+    import causetlab.principles as principles
+    from causetlab.cli import main
+
+    monkeypatch.setattr(principles, "_eval_family",
+                        lambda *args: principles._FamilyOutcome(truncated=truncated))
+    code = main(["replicate", "--model", str(data_dir / "anti2_perf.json")])
+    out, err = capsys.readouterr()
+    if truncated:
+        assert code == 1 and err == ""
+        (pair,) = [p for p in json.loads(out)["pairs"] if p["region_a"] and p["region_b"]]
+        assert [len(s["failures"]) > 0 for s in pair["steps"]] == [True, True, False]
+    else:
+        assert code == 3 and out == ""
+        assert err.startswith("causetlab replicate: internal consistency failure: ")
+
+
 # -- command behaviors -----------------------------------------------------------------
 
 

@@ -1,12 +1,14 @@
 """The screening kernel against the brute-force oracles on random small models.
 
-The checker decides canonical sweeps on Phi cell pairs and lists witnesses
-lazily; the oracles enumerate Gamma by literal dom filtering, Phi by the
-settles-every-event definition and screening by plain Fraction division.
-Both dom routes must reproduce the oracles' full failure list and counts.
+The checker decides canonical sweeps and replication steps 1-2 on Phi cell
+pairs and lists failures lazily; the oracles enumerate Gamma by literal dom
+filtering, Phi by the settles-every-event definition and screening by plain
+Fraction division. Both dom routes must reproduce the oracles' full failure
+lists and counts.
 """
 
 from fractions import Fraction
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,11 +22,13 @@ from causetlab import (
     Model,
     check_principle,
     full_specifications,
+    replicate_so1_to_so2,
     validate_causet,
 )
+import causetlab.principles as principles
 from causetlab.histories import gamma_capped
 
-from oracles import brute_gamma, brute_phi, brute_prob, brute_screens
+from oracles import brute_gamma, brute_phi, brute_prob, brute_replication_steps, brute_screens
 
 # high enough that no region algebra is truncated (q = 3, 2 elements: 2^9)
 UNCAPPED = Caps(region_size=3, algebra=1 << 10)
@@ -142,7 +146,7 @@ def test_kernel_matches_the_oracles(model):
     _check_against_the_oracles(model)
 
 
-def test_failures_away_from_the_first_cell_are_found():
+def _off_first_cell_model():
     # uniform on 3 x 3 values with one unit of weight moved from (x=1, y=1)
     # to (x=2, y=1): the cell rows x=1 and x=2 fail while the row x=0 holds,
     # so a decision that looked at fewer cells could miss the failures
@@ -150,7 +154,11 @@ def test_failures_away_from_the_first_cell_are_found():
     nums = [1] * space.size
     nums[space.history_from_key("11")] -= 1
     nums[space.history_from_key("21")] += 1
-    model = Model.build(space, MeasureTable(space, [Fraction(k, 9) for k in nums]))
+    return Model.build(space, MeasureTable(space, [Fraction(k, 9) for k in nums]))
+
+
+def test_failures_away_from_the_first_cell_are_found():
+    model = _off_first_cell_model()
     assert not check_principle(model, "so1").satisfied
     _check_against_the_oracles(model)
 
@@ -173,3 +181,41 @@ def _check_against_the_oracles(model):
             assert "witnesses" not in vars(verdict)
         assert sorted(_triple(w) + (w.lhs, w.rhs) for w in verdict.witnesses) == failures
         assert [_triple(w) for w in verdict.witnesses[:1]] == ([first] if failures else [])
+
+
+# -- replication steps 1-2 ------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_models(), st.sampled_from([UNCAPPED.algebra, 1, 2, 3, 5]))
+def test_replication_steps_match_the_oracle(model, algebra):
+    _check_replication_against_the_oracle(model, algebra)
+
+
+def test_replication_failures_away_from_the_first_cell_are_listed():
+    model = _off_first_cell_model()
+    x, y = model.causet.region("x"), model.causet.region("y")
+    assert _check_replication_against_the_oracle(model, UNCAPPED.algebra, [(x, y)]) > 0
+
+
+def _check_replication_against_the_oracle(model, algebra, pairs=None):
+    """Steps 1-2 of every spacelike pair, with the SO1 precheck forced to a
+    truncated pass so that models violating SO1 reach the steps, against the
+    oracle's literal loop over gamma_capped; returns the failures seen."""
+    causet, space, dom = model.causet, model.space, model.dom
+    seen = 0
+    passing = principles._FamilyOutcome(truncated=True)
+    with patch.object(principles, "_eval_family", lambda *args: passing):
+        for ra, rb in pairs or causet.spacelike_pairs():
+            report = replicate_so1_to_so2(model, ra, rb, Caps(region_size=3, algebra=algebra))
+            x, y = causet.flank_regions(ra, rb)
+            expected = brute_replication_steps(
+                model.measure,
+                gamma_capped(space, dom, ra, algebra)[0],
+                gamma_capped(space, dom, rb, algebra)[0],
+                *(full_specifications(space, dom, r) for r in (x, y, causet.mutual_past(ra, rb))),
+            )
+            for step, (checked, failures) in zip(report.steps, expected):
+                assert (step.passed, step.checked, list(step.failures)) == (not failures, checked, failures)
+                seen += len(failures)
+    return seen
