@@ -35,6 +35,7 @@ import json
 import multiprocessing
 import os
 from dataclasses import asdict, dataclass, field, fields
+from functools import cache
 from typing import Iterator, Sequence
 
 from .causet import Causet, _bits
@@ -283,30 +284,18 @@ def _classify(matrix: ImplicationMatrix, gap_mismatch: bool) -> tuple[str, ...]:
 
 
 def _passes_filters(causet: Causet, filters: tuple[str, ...]) -> bool:
-    if not filters:
-        return True
-    want_flanks = "nonempty-flanks" in filters
-    want_finite = "finite-pair" in filters
-    have_flanks = have_finite = False
-    finite_cache: dict[int, bool] = {}
-
-    def finite(r: int) -> bool:
-        got = finite_cache.get(r)
-        if got is None:
-            got = finite_cache[r] = causet.is_causally_finite(r)
-        return got
-
+    """Does some spacelike pair meet each filter (not necessarily the same
+    pair for both)?"""
+    wanted = set(filters)
+    finite = cache(causet.is_causally_finite)
     for ra, rb in causet.spacelike_pairs():
-        if want_flanks and not have_flanks:
-            x, y = causet.flank_regions(ra, rb)
-            if x | y:
-                have_flanks = True
-        if want_finite and not have_finite:
-            if finite(ra) and finite(rb):
-                have_finite = True
-        if (not want_flanks or have_flanks) and (not want_finite or have_finite):
-            return True
-    return (not want_flanks or have_flanks) and (not want_finite or have_finite)
+        if not wanted:
+            break
+        if "nonempty-flanks" in wanted and any(causet.flank_regions(ra, rb)):
+            wanted.remove("nonempty-flanks")
+        if "finite-pair" in wanted and finite(ra) and finite(rb):
+            wanted.remove("finite-pair")
+    return not wanted
 
 
 def _hunt_causet(task: tuple[int, tuple[int, ...], SearchConfig]) -> dict:

@@ -6,15 +6,20 @@ Weights are `fractions.Fraction` values, one per history, summing to exactly
 integer mass divided by D. Every screening and correlation decision is an
 exact identity or inequality between integers; there is no tolerance
 anywhere, because the screening-off checks ARE equalities and a tolerance
-would manufacture or mask violations.
+would manufacture or mask violations. This module holds the only written-out
+screening identity (`screens_off` for one pair, `_screen_failures` for rows
+of pairs) and correlation inequality (`is_correlated`).
 
 Why integer comparisons are exact: mu(A & B | C) = mu(A | C) mu(B | C) is,
 multiplied out, mu(A&B&C) mu(C) = mu(A&C) mu(B&C), homogeneous of degree 2
 on both sides, so the D^2 cancels and the masses compare directly.
 Correlation, mu(A & B) > mu(A) mu(B), mixes degrees 1 and 2, so it compares
-mass(A&B) * D with mass(A) * mass(B). `Fraction`s are built for printed
-values (a witness's two sides, conditional probabilities) and inside the
-common cause verdicts, which compare exact rationals off the hot paths.
+mass(A&B) * D with mass(A) * mass(B). Relevance compares masses too:
+mu(A | C) > mu(A | C^c) is mass(A&C) mass(C^c) > mass(A&C^c) mass(C), and the
+sign of the cross relevance (mu(A|Ci) - mu(A|Cj)) (mu(B|Ci) - mu(B|Cj)) is
+that of (mass(A&Ci) mass(Cj) - mass(A&Cj) mass(Ci)) times the same for B.
+`Fraction`s are built only for printed values (a failure's two sides,
+conditional probabilities).
 
 Besides evaluation this module holds the Reichenbachian common cause
 verdicts: the single-event common cause (screening on C and its complement
@@ -124,13 +129,6 @@ class MeasureTable:
             raise ZeroConditionError("conditioning event has probability zero")
         return Fraction(self.mass(e & given), mg)
 
-    def support(self) -> Event:
-        mask = 0
-        for h, w in enumerate(self.weights):
-            if w:
-                mask |= 1 << h
-        return mask
-
     def weight_strings(self) -> dict[str, str]:
         """Nonzero weights as "p/q" strings keyed by history string (for
         fingerprints and model files)."""
@@ -165,6 +163,31 @@ def screens_off(m: MeasureTable, a: Event, b: Event, c: Event) -> bool:
     return m.mass(a & b & c) * mc == m.mass(a & c) * m.mass(b & c)
 
 
+def _screen_failures(
+    m: MeasureTable, events_a: Sequence[Event], events_b: Sequence[Event], c: Event
+) -> Iterator[tuple[Event, Event]]:
+    """Every (A, B) in events_a x events_b that C fails to screen off, in
+    row-major order, by the identity of `screens_off` with the masses of
+    events_b & C taken once. Vacuous when mu(C) = 0, as every mass is then 0.
+    This one loop decides both dom routes of the principle sweep and lists
+    the witnesses and replication failures."""
+    mass = m.mass
+    mc = mass(c)
+    mbs = [mass(b & c) for b in events_b]
+    for a in events_a:
+        ac = a & c
+        ma = mass(ac)
+        for b, mb in zip(events_b, mbs):
+            if mass(ac & b) * mc != ma * mb:
+                yield a, b
+
+
+def screening_sides(m: MeasureTable, a: Event, b: Event, c: Event) -> tuple[Fraction, Fraction]:
+    """The printed sides mu(A & B | C) and mu(A | C) mu(B | C); mu(C) > 0."""
+    mc = m.mass(c)
+    return Fraction(m.mass(a & b & c), mc), Fraction(m.mass(a & c) * m.mass(b & c), mc * mc)
+
+
 @dataclass(frozen=True)
 class CommonCauseVerdict:
     qualifies: bool
@@ -172,7 +195,7 @@ class CommonCauseVerdict:
     sides: dict[str, tuple[Fraction, Fraction]] = field(default_factory=dict)
     zero_screeners: tuple[str, ...] = ()
 
-    def to_json(self, space: HistorySpace | None = None) -> dict:
+    def to_json(self) -> dict:
         return {
             "qualifies": self.qualifies,
             "failed_conditions": list(self.failed_conditions),
@@ -197,38 +220,35 @@ def is_common_cause(
     mu(A | C) > mu(A | C^c) (undefined sides fail). Both are exposed because
     the two readings genuinely differ and neither is privileged here.
     """
+    mass, d = m.mass, m.denominator
     failed: list[str] = []
     sides: dict[str, tuple[Fraction, Fraction]] = {}
     zero: list[str] = []
-    pab, pa_pb = m.prob(a & b), m.prob(a) * m.prob(b)
-    if not pab > pa_pb:
+    if not is_correlated(m, a, b):
         failed.append("not-correlated")
-        sides["not-correlated"] = (pab, pa_pb)
+        sides["not-correlated"] = (Fraction(mass(a & b), d), Fraction(mass(a) * mass(b), d * d))
     comp = m.space.complement(c)
-    for name, cell in (("screen-on-C", c), ("screen-on-C^c", comp)):
-        pc = m.prob(cell)
-        if pc == 0:
+    mc, mcc = mass(c), mass(comp)
+    for name, cell, mcell in (("screen-on-C", c, mc), ("screen-on-C^c", comp, mcc)):
+        if mcell == 0:
             if zero_mode == "strict":
                 zero.append(name)
-            continue
-        lhs = m.prob(a & b & cell) / pc
-        rhs = (m.prob(a & cell) / pc) * (m.prob(b & cell) / pc)
-        if lhs != rhs:
+        elif not screens_off(m, a, b, cell):
             failed.append(name)
-            sides[name] = (lhs, rhs)
+            sides[name] = screening_sides(m, a, b, cell)
     for name, ev in (("relevance-A", a), ("relevance-B", b)):
+        me, mec = mass(ev & c), mass(ev & comp)
         if relevance == "printed":
-            lhs, rhs = m.prob(ev & c), m.prob(ev & comp)
-        else:
-            pc, pcc = m.prob(c), m.prob(comp)
-            if pc == 0 or pcc == 0:
-                failed.append(name)
-                sides[name] = (ZERO, ZERO)
+            if me > mec:
                 continue
-            lhs, rhs = m.prob(ev & c) / pc, m.prob(ev & comp) / pcc
-        if not lhs > rhs:
-            failed.append(name)
-            sides[name] = (lhs, rhs)
+            sides[name] = (Fraction(me, d), Fraction(mec, d))
+        elif mc == 0 or mcc == 0:
+            sides[name] = (ZERO, ZERO)
+        elif me * mcc > mec * mc:
+            continue
+        else:
+            sides[name] = (Fraction(me, mc), Fraction(mec, mcc))
+        failed.append(name)
     return CommonCauseVerdict(not failed, tuple(failed), sides, tuple(zero))
 
 
@@ -277,36 +297,36 @@ def is_ccs(
     if union != m.space.omega:
         raise NotAPartitionError("partition does not cover the history space")
 
-    pab, pa_pb = m.prob(a & b), m.prob(a) * m.prob(b)
-    if not pab > pa_pb:
-        return CcsVerdict(False, {"kind": "not-correlated", "lhs": pab, "rhs": pa_pb})
+    mass, d = m.mass, m.denominator
+    if not is_correlated(m, a, b):
+        return CcsVerdict(False, {
+            "kind": "not-correlated",
+            "lhs": Fraction(mass(a & b), d),
+            "rhs": Fraction(mass(a) * mass(b), d * d),
+        })
 
-    probs = [m.prob(cell) for cell in partition]
-    zero = tuple(i for i, p in enumerate(probs) if p == 0) if zero_mode == "strict" else ()
+    masses = [mass(cell) for cell in partition]
+    zero = tuple(i for i, mc in enumerate(masses) if mc == 0) if zero_mode == "strict" else ()
     for i, cell in enumerate(partition):
-        if probs[i] == 0:
-            continue
-        lhs = m.prob(a & b & cell) * probs[i]
-        rhs = m.prob(a & cell) * m.prob(b & cell)
-        if lhs != rhs:
-            return CcsVerdict(False, {
-                "kind": "screening",
-                "cell": i,
-                "lhs": m.prob(a & b & cell) / probs[i],
-                "rhs": m.prob(a & cell) * m.prob(b & cell) / probs[i] ** 2,
-            }, zero)
-    positive = [i for i, p in enumerate(probs) if p > 0]
-    for i in positive:
-        for j in positive:
+        if not screens_off(m, a, b, cell):
+            lhs, rhs = screening_sides(m, a, b, cell)
+            return CcsVerdict(False, {"kind": "screening", "cell": i, "lhs": lhs, "rhs": rhs}, zero)
+    positive = [
+        (i, mass(a & cell), mass(b & cell), masses[i])
+        for i, cell in enumerate(partition)
+        if masses[i]
+    ]
+    for i, ma_i, mb_i, m_i in positive:
+        for j, ma_j, mb_j, m_j in positive:
             if i == j:
                 continue
-            da = m.prob(a & partition[i]) / probs[i] - m.prob(a & partition[j]) / probs[j]
-            db = m.prob(b & partition[i]) / probs[i] - m.prob(b & partition[j]) / probs[j]
-            if not da * db > 0:
+            # (mu(A|Ci) - mu(A|Cj)) (mu(B|Ci) - mu(B|Cj)) times (m_i m_j)^2 > 0
+            cross = (ma_i * m_j - ma_j * m_i) * (mb_i * m_j - mb_j * m_i)
+            if not cross > 0:
                 return CcsVerdict(False, {
                     "kind": "relevance",
                     "cells": (i, j),
-                    "lhs": da * db,
+                    "lhs": Fraction(cross, (m_i * m_j) ** 2),
                     "rhs": ZERO,
                 }, zero)
     return CcsVerdict(True, None, zero)

@@ -16,7 +16,8 @@ textbook derivation of SO2 from SO1, including the final set-coverage
 comparison that the derivation itself leaves open.
 
 Canonical doms are decided on pairs of Phi cells, explicit doms event by
-event (see `_eval_family`). A verdict keeps only the failing pairs and lists
+event (see `_eval_family`), both through the screening kernel
+`measure._screen_failures`. A verdict keeps only the failing pairs and lists
 its witnesses, every failing event triple of the sweep, lazily from them.
 Replication steps 1-2 are decided on the same events (`_decision_events`)
 and list their failures only for a failing screener block.
@@ -51,7 +52,7 @@ from .histories import (
     full_specifications,
     gamma_capped,
 )
-from .measure import MeasureTable, screens_off
+from .measure import MeasureTable, _screen_failures, screening_sides, screens_off
 
 PRINCIPLES = ("so1", "so2", "fin-so1", "fin-so2")
 
@@ -96,7 +97,6 @@ class Model:
         measure: MeasureTable,
         dom: DomMap,
         axiom_report: DomAxiomReport,
-        forced: bool = False,
     ):
         if measure.space is not space:
             raise ValueError("measure belongs to a different history space")
@@ -104,7 +104,6 @@ class Model:
         self.measure = measure
         self.dom = dom
         self.axiom_report = axiom_report
-        self.forced = forced
 
     @property
     def causet(self) -> Causet:
@@ -150,7 +149,7 @@ class Model:
                     "dom map violates the dom axioms; pass force=True to check anyway"
                 )
             warnings.warn("dom axioms violated; verdicts are annotated", AxiomViolationWarning)
-        return cls(space, measure, dom, report, forced=force)
+        return cls(space, measure, dom, report)
 
 
 @dataclass(frozen=True)
@@ -282,25 +281,6 @@ def _decision_events(
     return events, len(events), truncated
 
 
-def _screen_failures(
-    measure: MeasureTable, events_a: Sequence[Event], events_b: Sequence[Event], c: Event
-) -> Iterator[tuple[Event, Event, Fraction, Fraction]]:
-    """Every (A, B) in events_a x events_b that C (of positive measure) fails
-    to screen off, in row-major order, with mu(A&B|C) and mu(A|C) mu(B|C).
-    Tests compare integer masses; only a failure builds its Fractions. This
-    one loop decides both dom routes and lists the witnesses of both."""
-    mass = measure.mass
-    mc = mass(c)
-    mbs = [mass(b & c) for b in events_b]
-    for a in events_a:
-        ac = a & c
-        ma = mass(ac)
-        for b, mb in zip(events_b, mbs):
-            mab = mass(ac & b)
-            if mab * mc != ma * mb:
-                yield a, b, Fraction(mab, mc), Fraction(ma * mb, mc * mc)
-
-
 def _eval_family(
     model: Model, ra: Region, rb: Region, screener_region: Region, cap: int
 ) -> _FamilyOutcome:
@@ -326,7 +306,7 @@ def _eval_family(
             continue
         out.tests += out.event_pairs
         found = _screen_failures(measure, events_a, events_b, cell_c)
-        pairs = tuple((a, b) for a, b, _, _ in (found if dom.is_canonical else islice(found, 1)))
+        pairs = tuple(found if dom.is_canonical else islice(found, 1))
         if pairs:
             out.failing.append((ra, rb, cell_c, pairs))
     return out
@@ -344,11 +324,11 @@ def _witnesses(
     subset). Unless `replayed` is None, each witness whose
     (region_a, region_b, C, A, B) is not in `replayed` is replayed as it is
     listed."""
-    space, dom = model.space, model.dom
+    space, dom, measure = model.space, model.dom, model.measure
     for ra, rb, c, _ in failures:
         gam_a, gam_b = gamma_capped(space, dom, ra, cap)[0], gamma_capped(space, dom, rb, cap)[0]
-        for a, b, lhs, rhs in _screen_failures(model.measure, gam_a, gam_b, c):
-            w = Witness(principle, ra, rb, a, b, c, lhs, rhs)
+        for a, b in _screen_failures(measure, gam_a, gam_b, c):
+            w = Witness(principle, ra, rb, a, b, c, *screening_sides(measure, a, b, c))
             if replayed is not None and (ra, rb, c, a, b) not in replayed:
                 _replay(model, w)
             yield w
@@ -368,14 +348,7 @@ def _trivial_outcome(model: Model, ra: Region, rb: Region, screener_region: Regi
 
 def _sweep(model: Model, caps: Caps, families: tuple[str, ...]) -> list[_PairOutcome]:
     causet = model.causet
-    finite_cache: dict[Region, bool] = {}
-
-    def finite(r: Region) -> bool:
-        got = finite_cache.get(r)
-        if got is None:
-            got = finite_cache[r] = causet.is_causally_finite(r)
-        return got
-
+    finite = cache(causet.is_causally_finite)
     outcomes: list[_PairOutcome] = []
     for ra, rb in causet.spacelike_pairs():
         both_finite = finite(ra) and finite(rb)
@@ -545,10 +518,10 @@ def implication_matrix(
                 if (ra, rb, c, a, b) in replayed:
                     continue
                 replayed.add((ra, rb, c, a, b))
-                found = next(_screen_failures(model.measure, (a,), (b,), c), None)
-                if found is None:
+                if screens_off(model.measure, a, b, c):
                     raise InternalConsistencyError("a recorded failing pair screens off on replay")
-                _replay(model, Witness(verdict.principle, ra, rb, a, b, c, *found[2:]))
+                sides = screening_sides(model.measure, a, b, c)
+                _replay(model, Witness(verdict.principle, ra, rb, a, b, c, *sides))
     implications = {}
     for p in PRINCIPLES:
         for q in PRINCIPLES:
@@ -660,14 +633,17 @@ def replicate_so1_to_so2(
         _eval_family(model, pa, pb, causet.mutual_past(pa, pb), caps.algebra)
         for pa, pb in ((ra, rb), (ra | x, rb | y))
     ]
+    gamma = cache(lambda r: gamma_capped(space, dom, r, caps.algebra)[0])
     precheck_failures = sum(
-        1 for o in prechecks for _ in _witnesses(model, "so1", o.failing, caps.algebra, None)
+        1
+        for o in prechecks
+        for pa, pb, c, _ in o.failing
+        for _ in _screen_failures(measure, gamma(pa), gamma(pb), c)
     )
     if precheck_failures:
         return ReplicationReport(ra, rb, False, precheck_failures, ())
     events_a, take_a, _ = _decision_events(space, dom, ra, caps.algebra)
     events_b, take_b, _ = _decision_events(space, dom, rb, caps.algebra)
-    gamma = cache(lambda r: gamma_capped(space, dom, r, caps.algebra)[0])
     phi_x = full_specifications(space, dom, x)
     phi_y = full_specifications(space, dom, y)
     phi_p1 = full_specifications(space, dom, causet.mutual_past(ra, rb))
@@ -701,10 +677,9 @@ def replicate_so1_to_so2(
                     continue
                 checked2 += take_a * take_b
                 if next(_screen_failures(measure, events_a, events_b, k), None):
-                    step2.extend(
-                        {"a": keys(a), "b": keys(b), "k": keys(k), "lhs": product, "rhs": joint}
-                        for a, b, joint, product in _screen_failures(measure, gamma(ra), gamma(rb), k)
-                    )
+                    for a, b in _screen_failures(measure, gamma(ra), gamma(rb), k):
+                        joint, product = screening_sides(measure, a, b, k)
+                        step2.append({"a": keys(a), "b": keys(b), "k": keys(k), "lhs": product, "rhs": joint})
     if (step1 or step2) and dom.is_canonical and not any(o.truncated for o in prechecks):
         raise InternalConsistencyError("replication steps 1-2 fail after an untruncated canonical SO1 precheck")
     steps = (

@@ -13,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
+from causetlab.measure import CcsVerdict, CommonCauseVerdict
+
 
 _pair_cache: dict = {}
 
@@ -170,6 +172,80 @@ def brute_screens(measure, a, b, c, prob=brute_prob):
     return prob(measure, a & b & c) / pc == (
         prob(measure, a & c) / pc
     ) * (prob(measure, b & c) / pc)
+
+
+def brute_common_cause(measure, a, b, c, relevance="printed", zero_mode="vacuous"):
+    """The common cause verdict with every condition decided in Fraction
+    arithmetic on conditional probabilities, in the verdict's condition
+    order."""
+
+    def prob(e):
+        return brute_prob(measure, e)
+
+    failed, sides, zero = [], {}, []
+    pab, pa_pb = prob(a & b), prob(a) * prob(b)
+    if not pab > pa_pb:
+        failed.append("not-correlated")
+        sides["not-correlated"] = (pab, pa_pb)
+    comp = measure.space.omega & ~c
+    for name, cell in (("screen-on-C", c), ("screen-on-C^c", comp)):
+        pc = prob(cell)
+        if pc == 0:
+            if zero_mode == "strict":
+                zero.append(name)
+            continue
+        lhs = prob(a & b & cell) / pc
+        rhs = (prob(a & cell) / pc) * (prob(b & cell) / pc)
+        if lhs != rhs:
+            failed.append(name)
+            sides[name] = (lhs, rhs)
+    for name, ev in (("relevance-A", a), ("relevance-B", b)):
+        if relevance == "printed":
+            lhs, rhs = prob(ev & c), prob(ev & comp)
+        else:
+            pc, pcc = prob(c), prob(comp)
+            if pc == 0 or pcc == 0:
+                failed.append(name)
+                sides[name] = (Fraction(0), Fraction(0))
+                continue
+            lhs, rhs = prob(ev & c) / pc, prob(ev & comp) / pcc
+        if not lhs > rhs:
+            failed.append(name)
+            sides[name] = (lhs, rhs)
+    return CommonCauseVerdict(not failed, tuple(failed), sides, tuple(zero))
+
+
+def brute_ccs(measure, a, b, partition, zero_mode="vacuous"):
+    """The common cause system verdict for a valid partition, every test in
+    Fraction arithmetic: correlation, then screening cell by cell, then the
+    cross relevance of every ordered pair of positive cells."""
+
+    def prob(e):
+        return brute_prob(measure, e)
+
+    pab, pa_pb = prob(a & b), prob(a) * prob(b)
+    if not pab > pa_pb:
+        return CcsVerdict(False, {"kind": "not-correlated", "lhs": pab, "rhs": pa_pb})
+    probs = [prob(cell) for cell in partition]
+    zero = tuple(i for i, p in enumerate(probs) if p == 0) if zero_mode == "strict" else ()
+    for i, cell in enumerate(partition):
+        if probs[i] == 0:
+            continue
+        lhs = prob(a & b & cell) / probs[i]
+        rhs = prob(a & cell) * prob(b & cell) / probs[i] ** 2
+        if lhs != rhs:
+            return CcsVerdict(False, {"kind": "screening", "cell": i, "lhs": lhs, "rhs": rhs}, zero)
+    positive = [i for i, p in enumerate(probs) if p > 0]
+    for i in positive:
+        for j in positive:
+            if i == j:
+                continue
+            da = prob(a & partition[i]) / probs[i] - prob(a & partition[j]) / probs[j]
+            db = prob(b & partition[i]) / probs[i] - prob(b & partition[j]) / probs[j]
+            if not da * db > 0:
+                return CcsVerdict(False, {"kind": "relevance", "cells": (i, j), "lhs": da * db,
+                                          "rhs": Fraction(0)}, zero)
+    return CcsVerdict(True, None, zero)
 
 
 def brute_partitions(size):

@@ -355,6 +355,36 @@ def test_capped_canonical_output_is_pinned(data_dir, capsys, name, caps, command
     assert capsys.readouterr().out == expected
 
 
+_SINGLETONS_Q3 = json.dumps([[k] for k in ("00", "10", "20", "01", "11", "21", "02", "12", "22")])
+
+
+@pytest.mark.parametrize("name, case, extra, code", [
+    # every condition of the common cause verdict fails, in both relevance forms
+    ("anti3_q2", "c-printed", ["--a", '{"y":0}', "--b", '{"z":1}', "--c", '{"x":1}',
+                               "--relevance", "printed", "--zero-screener", "strict"], 1),
+    ("anti3_q2", "c-conditional", ["--a", '{"y":0}', "--b", '{"z":1}', "--c", '{"x":1}',
+                                   "--relevance", "conditional", "--zero-screener", "strict"], 1),
+    ("anti3_q2", "partition-screening", ["--a", '{"x":1}', "--b", '{"y":1}',
+                                         "--partition", '[{"z":0},{"z":1}]'], 1),
+    ("anti3_q2", "partition-relevance", ["--a", '{"x":1}', "--b", '{"y":1}', "--partition",
+                                         '[["000","100","001","101"],["010","110","011"],["111"]]'], 1),
+    ("anti3_q2", "find", ["--a", '{"x":1}', "--b", '{"y":1}', "--find", "--max-size", "3"], 0),
+    ("anti2_q3", "find-regions", ["--a", '{"x":0}', "--b", '{"y":1}', "--find", "--mode", "regions",
+                                  "--max-size", "9"], 1),
+    # histories 11 and 22 have weight zero
+    ("anti2_q3", "partition-strict", ["--a", '{"x":0}', "--b", '{"y":1}', "--partition", _SINGLETONS_Q3,
+                                      "--zero-screener", "strict"], 1),
+])
+def test_ccs_output_is_pinned(data_dir, capsys, name, case, extra, code):
+    # the expected bytes come from the Fraction-arithmetic verdicts that the
+    # integer-mass decisions replaced
+    from causetlab.cli import main
+
+    golden = data_dir / "golden"
+    assert main(["ccs", "--model", str(golden / f"{name}.json"), *extra]) == code
+    assert capsys.readouterr().out == (golden / f"{name}.ccs.{case}.out").read_text()
+
+
 def test_identical_invocations_identical_bytes(data_dir):
     args = ("check", "--model", str(data_dir / "anti2_perf.json"), "--principle", "all")
     a, b = run_cli(*args), run_cli(*args)

@@ -201,6 +201,22 @@ def test_filters_skip_uninteresting_causets():
         assert report.findings == []
 
 
+@pytest.mark.parametrize("filters", [(), ("nonempty-flanks",), ("finite-pair",),
+                                     ("nonempty-flanks", "finite-pair")])
+def test_filters_match_their_definition(filters):
+    # a causet passes iff, for each filter, some spacelike pair meets it
+    for n in range(1, 6):
+        for causet in enumerate_causets(n):
+            pairs = list(causet.spacelike_pairs())
+            met = {
+                "nonempty-flanks": any(x | y for x, y in (causet.flank_regions(ra, rb) for ra, rb in pairs)),
+                "finite-pair": any(
+                    causet.is_causally_finite(ra) and causet.is_causally_finite(rb) for ra, rb in pairs
+                ),
+            }
+            assert hunter._passes_filters(causet, filters) == all(met[f] for f in filters)
+
+
 def test_unknown_filter_rejected():
     with pytest.raises(ValueError):
         SearchConfig(max_elements=2, filters=("shiny",))

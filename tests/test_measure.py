@@ -23,7 +23,7 @@ from causetlab import (
 )
 from causetlab.measure import _set_partitions
 
-from oracles import brute_partitions, brute_prob, brute_screens
+from oracles import brute_ccs, brute_common_cause, brute_partitions, brute_prob, brute_screens
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -77,11 +77,14 @@ def _antichain_space(q, n):
     return HistorySpace(validate_causet([f"e{i}" for i in range(n)], []), q)
 
 
+# sizes 4, 8, 16, 32 (q = 2) and 9, 27, 81 (q = 3): several 8-history
+# chunks, and a partial last chunk for 4, 9, 27 and 81
+SHAPES = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4)]
+
+
 @st.composite
-def measures_with_events(draw):
-    # sizes 4, 8, 16, 32 (q = 2) and 9, 27, 81 (q = 3): several 8-history
-    # chunks, and a partial last chunk for 4, 9, 27 and 81
-    q, n = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4)]))
+def measures_with_events(draw, shapes=SHAPES):
+    q, n = draw(st.sampled_from(shapes))
     space = _antichain_space(q, n)
     # mixed denominators, so the common denominator usually differs from
     # each of them; some weights zero
@@ -105,6 +108,43 @@ def test_integer_masses_match_the_fraction_oracle(drawn):
         assert Fraction(m.mass(e), m.denominator) == brute_prob(m, e) == m.prob(e)
     assert screens_off(m, a, b, c) == brute_screens(m, a, b, c)
     assert is_correlated(m, a, b) == (brute_prob(m, a & b) > brute_prob(m, a) * brute_prob(m, b))
+
+
+@st.composite
+def common_cause_inputs(draw):
+    # spaces of 4, 8, 9 and 27 histories, where the Fraction oracles stay fast
+    m, a, b, c = draw(measures_with_events([(2, 2), (2, 3), (3, 2), (3, 3)]))
+    if draw(st.booleans()):
+        # A inside B is correlated whenever mu(A) > 0 and mu(B) < 1, so the
+        # verdicts go on past the correlation test
+        a = draw(st.integers(0, m.space.omega))
+        b = a | draw(st.integers(0, m.space.omega))
+    size = m.space.size
+    labels = draw(st.one_of(
+        st.just(list(range(size))),  # singletons: every cell screens off
+        st.lists(st.integers(0, draw(st.integers(0, 4))), min_size=size, max_size=size),
+    ))
+    if draw(st.booleans()):
+        # A is constant on every cell of a refinement of {A, A^c}, so every
+        # cell screens off and the cross relevance decides
+        labels = [2 * k + (a >> h & 1) for h, k in enumerate(labels)]
+    if draw(st.booleans()):
+        labels = [-1 if w == 0 else k for k, w in zip(labels, m.weights)]  # a zero-mass cell
+    cells = {}
+    for h, k in enumerate(labels):
+        cells[k] = cells.get(k, 0) | 1 << h
+    partition = [cells[k] for k in sorted(cells)]
+    return (m, a, b, c, partition, draw(st.sampled_from(["printed", "conditional"])),
+            draw(st.sampled_from(["vacuous", "strict"])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(common_cause_inputs())
+def test_common_cause_verdicts_match_the_fraction_oracles(drawn):
+    m, a, b, c, partition, relevance, zero_mode = drawn
+    assert (is_common_cause(m, a, b, c, relevance, zero_mode).to_json()
+            == brute_common_cause(m, a, b, c, relevance, zero_mode).to_json())
+    assert is_ccs(m, a, b, partition, zero_mode).to_json() == brute_ccs(m, a, b, partition, zero_mode).to_json()
 
 
 # -- correlation ---------------------------------------------------------------------
