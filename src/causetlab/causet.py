@@ -18,9 +18,10 @@ this definition is implemented and tested.
 
 A causet's order and elements never change after construction and every
 operation is a pure function of them. The only state built after
-construction is the table of causal pasts, filled once on first use with
-the one value each region can have, so concurrent reads and transfer
-between workers stay safe.
+construction is two tables over all 2^n regions, the causal pasts and the
+causal complements, each filled once on first use with the one value each
+region can have, so concurrent reads and transfer between workers stay
+safe.
 """
 
 from __future__ import annotations
@@ -54,10 +55,11 @@ def _bits(mask: int) -> Iterator[int]:
 class Causet:
     """A finite set with a strict causal partial order, stored transitively closed.
 
-    Causal pasts come from a table holding J^-(r) for all 2^n regions r,
-    built on first use (2^n ints; up to 16 elements). `region_identities_hold`
-    decides every region identity of a spacelike pair from four of its
-    entries.
+    Causal pasts and causal complements come from two tables holding J^-(r)
+    and r' for all 2^n regions r, built on first use (2^n ints each; up to
+    16 elements). `region_identity_failures` decides every region identity
+    of every spacelike pair in one walk, from four past-table entries per
+    pair.
     """
 
     def __init__(self, elements: Sequence[str], closed_above: Sequence[int]):
@@ -179,12 +181,34 @@ class Causet:
         )
 
     def causal_complement(self, r: Region) -> Region:
-        """All points spacelike from every point of r; the full set for r = 0."""
+        """All points spacelike from every point of r; the full set for r = 0.
+
+        Read from the complement table; a causet too large for the table
+        meets the complements of r's points instead.
+        """
         self._check(r)
-        out = self.full
-        for i in _bits(r):
-            out &= self._point_complement[i]
-        return out
+        if self.n > _SWEEP_LIMIT:
+            out = self.full
+            for i in _bits(r):
+                out &= self._point_complement[i]
+            return out
+        return self._complement_table[r]
+
+    @cached_property
+    def _complement_table(self) -> tuple[Region, ...]:
+        """r' for every region r, indexed by its mask: 2^n ints.
+
+        Built like the past table: the complement of r is the complement of
+        r without its lowest point met with that point's own complement.
+        """
+        if self.n > _SWEEP_LIMIT:
+            raise LimitError("complement tables are exponential; causet too large")
+        point = self._point_complement
+        table = [self.full] * (self.full + 1)
+        for r in range(1, self.full + 1):
+            low = r & -r
+            table[r] = table[r & (r - 1)] & point[low.bit_length() - 1]
+        return tuple(table)
 
     def causal_closure(self, r: Region) -> Region:
         """(r')'; always contains r."""
@@ -245,37 +269,42 @@ class Causet:
         disjoint = not (x & y) and not (x & p1) and not (y & p1)
         return disjoint and (x | y | p1) == p2
 
-    def region_identities_hold(self, ra: Region, rb: Region) -> bool:
-        """Every region identity of one pair, decided from four pasts.
+    def region_identity_failures(self) -> tuple[int, list[tuple[Region, Region]]]:
+        """Every region identity of every spacelike pair, in one walk.
 
-        With P1 = J^-(ra) & J^-(rb), flanks X, Y and the enlarged pair
-        (ra|X, rb|Y), this is the conjunction of: ra, rb spacelike; the
-        enlarged pair spacelike; P2 of the enlarged pair equal to P1; X, Y
-        and P1 pairwise disjoint with union P2(ra, rb); and P1 missing
-        ra|rb. Each term is computed from its definition out of J^-(ra),
-        J^-(rb), J^-(ra|X) and J^-(rb|Y), read from the past table. On a
-        spacelike pair it equals verify_crucial_identity(ra, rb).holds and
-        decomposes_truncated_past(ra, rb) and not mutual_past(ra, rb) & (ra|rb);
-        on any other pair it is False.
+        Returns the number of pairs checked and the failing ones, in
+        spacelike_pairs() order. With P1 = J^-(ra) & J^-(rb), flanks X, Y and
+        the enlarged pair (ra|X, rb|Y), a pair passes when: the enlarged
+        pair is spacelike; P2 of the enlarged pair equals P1; X, Y and P1
+        are pairwise disjoint with union P2(ra, rb); and P1 misses ra|rb.
+        Each term is computed from its definition out of J^-(ra), J^-(rb),
+        J^-(ra|X) and J^-(rb|Y), read from the past table. A pair passes
+        exactly when verify_crucial_identity(ra, rb).holds and
+        decomposes_truncated_past(ra, rb) and not mutual_past(ra, rb) & (ra|rb).
         """
-        self._check(ra | rb)
         # the region algebra written out, not called, since the census runs
-        # this once per spacelike pair; tests hold it to the methods above
+        # it once per spacelike pair; tests hold it to the methods above.
+        # Pairs of the walk are spacelike: rb lies in the complement of ra.
         past = self._past_table
-        pa, pb = past[ra], past[rb]
-        x = pa & ~ra & ~pb
-        y = pb & ~rb & ~pa
-        ea, eb = ra | x, rb | y
-        pea, peb = past[ea], past[eb]
-        p1 = pa & pb
-        return (
-            not (pa & rb or ra & pb)
-            and not (pea & eb or ea & peb)
-            and (pea | peb) & ~(ea | eb) == p1
-            and not (x & y or x & p1 or y & p1)
-            and x | y | p1 == (pa | pb) & ~(ra | rb)
-            and not p1 & (ra | rb)
-        )
+        checked = 0
+        failing = []
+        for ra, rb in self.spacelike_pairs():
+            checked += 1
+            pa, pb = past[ra], past[rb]
+            x = pa & ~ra & ~pb
+            y = pb & ~rb & ~pa
+            ea, eb = ra | x, rb | y
+            pea, peb = past[ea], past[eb]
+            p1 = pa & pb
+            if not (
+                not (pea & eb or ea & peb)
+                and (pea | peb) & ~(ea | eb) == p1
+                and not (x & y or x & p1 or y & p1)
+                and x | y | p1 == (pa | pb) & ~(ra | rb)
+                and not p1 & (ra | rb)
+            ):
+                failing.append((ra, rb))
+        return checked, failing
 
     # -- sweeps -----------------------------------------------------------
 
@@ -288,10 +317,11 @@ class Causet:
         """
         if self.n > _SWEEP_LIMIT:
             raise LimitError("spacelike pair sweeps are exponential; causet too large")
+        complement = self._complement_table
         for ra in range(self.full + 1):
             if max_size is not None and _popcount(ra) > max_size:
                 continue
-            allowed = self.causal_complement(ra)
+            allowed = complement[ra]
             rb = 0
             while True:  # the submasks of allowed, ascending
                 if rb >= ra and (max_size is None or _popcount(rb) <= max_size):

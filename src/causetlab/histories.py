@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .causet import Causet, Region, _bits
@@ -111,8 +112,14 @@ class HistorySpace:
             h += v * self.q ** i
         return h
 
+    @cached_property
+    def _history_keys(self) -> tuple[str, ...]:
+        # every history's key, built once on the first event rendered
+        return tuple(self.history_key(h) for h in range(self.size))
+
     def event_keys(self, e: Event) -> list[str]:
-        return [self.history_key(h) for h in _bits(e)]
+        keys = self._history_keys
+        return [keys[h] for h in _bits(e)]
 
     # -- event constructors ------------------------------------------------
 

@@ -286,6 +286,8 @@ def is_ccs(
     The partition must cover Omega with pairwise disjoint nonempty cells.
     Returns the first failing cell or pair as witness. Pairs with a
     zero-probability cell are skipped; screening over them is vacuous.
+    With zero_mode="strict" every verdict, a not-correlated one included,
+    lists the zero-probability cells.
     """
     union = 0
     for cell in partition:
@@ -298,15 +300,15 @@ def is_ccs(
         raise NotAPartitionError("partition does not cover the history space")
 
     mass, d = m.mass, m.denominator
+    masses = [mass(cell) for cell in partition]
+    zero = tuple(i for i, mc in enumerate(masses) if mc == 0) if zero_mode == "strict" else ()
     if not is_correlated(m, a, b):
         return CcsVerdict(False, {
             "kind": "not-correlated",
             "lhs": Fraction(mass(a & b), d),
             "rhs": Fraction(mass(a) * mass(b), d * d),
-        })
+        }, zero)
 
-    masses = [mass(cell) for cell in partition]
-    zero = tuple(i for i, mc in enumerate(masses) if mc == 0) if zero_mode == "strict" else ()
     for i, cell in enumerate(partition):
         if not screens_off(m, a, b, cell):
             lhs, rhs = screening_sides(m, a, b, cell)

@@ -8,9 +8,10 @@ any failures. The laws:
   again spacelike, its truncated joint past equals the original mutual past,
   the truncated joint past decomposes disjointly into the two flanks and the
   mutual past, and the mutual past avoids both regions (so truncating it
-  would change nothing). Each pair is decided in one pass from four causal
-  pasts; a failing pair's report is built by the reference methods
-  `verify_crucial_identity` and `decomposes_truncated_past`.
+  would change nothing). All pairs of a causet are decided in one walk,
+  each from four causal pasts; a failing pair's report is built by the
+  reference methods `verify_crucial_identity` and
+  `decomposes_truncated_past`.
 - partition law: full specifications of any region partition the history
   space, with exactly alphabet^|region| cells.
 - composition law: full specifications of a disjoint union are exactly the
@@ -75,19 +76,19 @@ def region_identity_suite(max_elements: int) -> SuiteResult:
     """Enlarged-pair identity + truncated-past decomposition, all causets,
     all unordered spacelike region pairs.
 
-    Each pair is decided in one pass by `Causet.region_identities_hold`.
-    A pair it fails is re-checked by `verify_crucial_identity` and
-    `decomposes_truncated_past`, which build the failure report; if they
-    pass it, the two disagree and that is an internal-consistency failure.
+    The pairs of each causet are decided in one walk by
+    `Causet.region_identity_failures`. A pair it fails is re-checked by
+    `verify_crucial_identity` and `decomposes_truncated_past`, which build
+    the failure report; if they pass it, the two disagree and that is an
+    internal-consistency failure.
     """
     checked = 0
     failures = []
     for n in range(1, max_elements + 1):
         for idx, causet in enumerate(enumerate_causets(n)):
-            for ra, rb in causet.spacelike_pairs():
-                checked += 1
-                if causet.region_identities_hold(ra, rb):
-                    continue
+            pairs, failing = causet.region_identity_failures()
+            checked += pairs
+            for ra, rb in failing:
                 report = causet.verify_crucial_identity(ra, rb)
                 decomposes = causet.decomposes_truncated_past(ra, rb)
                 untruncated = causet.mutual_past(ra, rb) & (ra | rb) == 0

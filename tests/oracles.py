@@ -223,11 +223,11 @@ def brute_ccs(measure, a, b, partition, zero_mode="vacuous"):
     def prob(e):
         return brute_prob(measure, e)
 
-    pab, pa_pb = prob(a & b), prob(a) * prob(b)
-    if not pab > pa_pb:
-        return CcsVerdict(False, {"kind": "not-correlated", "lhs": pab, "rhs": pa_pb})
     probs = [prob(cell) for cell in partition]
     zero = tuple(i for i, p in enumerate(probs) if p == 0) if zero_mode == "strict" else ()
+    pab, pa_pb = prob(a & b), prob(a) * prob(b)
+    if not pab > pa_pb:
+        return CcsVerdict(False, {"kind": "not-correlated", "lhs": pab, "rhs": pa_pb}, zero)
     for i, cell in enumerate(partition):
         if probs[i] == 0:
             continue

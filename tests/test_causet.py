@@ -93,7 +93,7 @@ def test_memoised_past_matches_definition_cold_and_warm():
                 with pytest.raises(ForeignRegionError):
                     c.past(foreign)
                 with pytest.raises(ForeignRegionError):
-                    c.region_identities_hold(foreign, 0)
+                    c.causal_complement(foreign)
 
 
 def test_past_beyond_the_table_limit():
@@ -104,7 +104,7 @@ def test_past_beyond_the_table_limit():
     assert chain.past(1 << 16) == chain.full
     assert chain.past(1 << 3 | 1 << 1) == 0b1111
     with pytest.raises(LimitError):
-        chain.region_identities_hold(1, 2)
+        chain.region_identity_failures()
     with pytest.raises(LimitError):
         next(chain.spacelike_pairs())
 

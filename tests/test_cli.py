@@ -374,10 +374,14 @@ _SINGLETONS_Q3 = json.dumps([[k] for k in ("00", "10", "20", "01", "11", "21", "
     # histories 11 and 22 have weight zero
     ("anti2_q3", "partition-strict", ["--a", '{"x":0}', "--b", '{"y":1}', "--partition", _SINGLETONS_Q3,
                                       "--zero-screener", "strict"], 1),
+    # an uncorrelated pair still lists the zero-mass cells under strict
+    ("anti2_q3", "partition-strict-uncorrelated", ["--a", '{"x":1}', "--b", '{"y":1}', "--partition",
+                                                   _SINGLETONS_Q3, "--zero-screener", "strict"], 1),
 ])
 def test_ccs_output_is_pinned(data_dir, capsys, name, case, extra, code):
     # the expected bytes come from the Fraction-arithmetic verdicts that the
-    # integer-mass decisions replaced
+    # integer-mass decisions replaced; the uncorrelated strict case agrees
+    # with the brute_ccs oracle
     from causetlab.cli import main
 
     golden = data_dir / "golden"

@@ -95,6 +95,37 @@ def test_canonical_form_matches_brute_force_on_relabelings():
                 assert canonical_form(_relabel(rows, perm)) == expected
 
 
+def test_deletion_pruning_keeps_every_class(monkeypatch):
+    # every (n-1)-element base extended by a new maximal element over every
+    # order ideal, with no pruning, must give the same classes as the pruned
+    # enumeration, which must get there with fewer canonical_form calls
+    calls = [0]
+
+    def counted(lt):
+        calls[0] += 1
+        return canonical_form(lt)
+
+    monkeypatch.setattr(hunter, "canonical_form", counted)
+    candidates = 0
+    for n in range(2, 7):
+        bases = _representatives(n - 1)
+        unpruned = set()
+        for base in bases:
+            for ideal in range(1 << (n - 1)):
+                # down-closed: whatever precedes a member is a member
+                if any(ideal >> i & 1 and base[j] >> i & 1 and not ideal >> j & 1
+                       for i in range(n - 1) for j in range(n - 1)):
+                    continue
+                rows = tuple(row | (ideal >> i & 1) << (n - 1) for i, row in enumerate(base))
+                unpruned.add(canonical_form(rows + (0,)))
+                candidates += 1
+        monkeypatch.setattr(hunter, "_reps_cache", {})
+        calls[0] = 0
+        assert hunter._representatives(n) == sorted(unpruned)
+    # the last run, from a cleared cache, enumerated every size up to 6
+    assert 0 < calls[0] < candidates
+
+
 # sha256 of repr(_representatives(n)) for n = 1..7, as first enumerated
 REPRESENTATIVE_DIGESTS = [
     "78fce9491f4b0e3b895728f3c6efe71e16e4ae77f5f6db9148e6e0584bc5fd42",

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import causetlab.theorems as theorems
-from causetlab import Causet, InternalConsistencyError
+from causetlab import Causet, InternalConsistencyError, enumerate_causets
 from causetlab.principles import Caps
 from causetlab.theorems import (
     composition_suite,
@@ -24,7 +24,7 @@ def test_region_suite_counts_every_spacelike_pair():
     assert suite.checked == sum(
         1
         for n in range(1, 4)
-        for causet in __import__("causetlab").enumerate_causets(n)
+        for causet in enumerate_causets(n)
         for _ in causet.spacelike_pairs()
     )
 
@@ -48,6 +48,31 @@ def _unclosed_dags(per_size: int, seed: int = 0):
             yield Causet([f"e{i}" for i in range(n)], above)
 
 
+def _point_complement(causet, r):
+    # the points spacelike from every point of r, one point pair at a time
+    return sum(
+        1 << j
+        for j in range(causet.n)
+        if all(
+            j != i and not causet._above[i] >> j & 1 and not causet._below[i] >> j & 1
+            for i in range(causet.n)
+            if r >> i & 1
+        )
+    )
+
+
+def test_complement_table_matches_the_point_definition():
+    causets = [c for n in range(1, 6) for c in enumerate_causets(n)]
+    for causet in causets + list(_unclosed_dags(20)):
+        expected = [_point_complement(causet, r) for r in range(causet.full + 1)]
+        assert list(causet._complement_table) == expected, causet
+        assert [causet.causal_complement(r) for r in range(causet.full + 1)] == expected
+        for r in range(causet.full + 1):
+            closure = expected[expected[r]]
+            assert causet.causal_closure(r) == closure, (causet, r)
+            assert causet.is_causally_finite(r) == bool(causet.past(closure) & ~closure)
+
+
 def _reference_verdict(causet, ra, rb):
     report = causet.verify_crucial_identity(ra, rb)
     decomposes = causet.decomposes_truncated_past(ra, rb)
@@ -59,13 +84,18 @@ def test_one_pass_check_equals_the_reference_methods_where_they_fail():
     outcomes = {True: 0, False: 0}
     broken = {"identity": 0, "enlarged_spacelike": 0}
     for causet in _unclosed_dags(20):
+        expected_failing = []
         for ra, rb in causet.spacelike_pairs():
             report, decomposes, untruncated = _reference_verdict(causet, ra, rb)
             expected = report.holds and decomposes and untruncated
-            assert causet.region_identities_hold(ra, rb) == expected, (causet, ra, rb)
+            if not expected:
+                expected_failing.append((ra, rb))
             outcomes[expected] += 1
             broken["identity"] += report.enlarged_spacelike and not report.identity_holds
             broken["enlarged_spacelike"] += report.identity_holds and not report.enlarged_spacelike
+        checked, failing = causet.region_identity_failures()
+        assert checked == sum(1 for _ in causet.spacelike_pairs()), causet
+        assert failing == expected_failing, causet
     # each term fails on its own somewhere, so dropping either would show
     assert outcomes[False] > 100 and outcomes[True] > 100
     assert broken["identity"] > 0 and broken["enlarged_spacelike"] > 0
@@ -94,10 +124,20 @@ def test_region_suite_reports_what_the_reference_methods_report(monkeypatch):
     assert list(suite.failures) == expected
 
 
-def test_region_suite_flags_a_one_pass_check_that_disagrees(monkeypatch):
-    monkeypatch.setattr(Causet, "region_identities_hold", lambda self, ra, rb: False)
+def test_region_suite_flags_a_one_pass_check_that_disagrees(monkeypatch, capsys):
+    from causetlab.cli import main
+
+    def every_pair_fails(self):
+        pairs = list(self.spacelike_pairs())
+        return len(pairs), pairs
+
+    monkeypatch.setattr(Causet, "region_identity_failures", every_pair_fails)
     with pytest.raises(InternalConsistencyError):
         region_identity_suite(2)
+    assert main(["theorems", "--max-elements", "2", "--max-product-elements", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("causetlab theorems: internal consistency failure: ")
 
 
 def test_partition_suite_region_count():
