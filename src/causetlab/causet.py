@@ -55,11 +55,11 @@ def _bits(mask: int) -> Iterator[int]:
 class Causet:
     """A finite set with a strict causal partial order, stored transitively closed.
 
-    Causal pasts and causal complements come from two tables holding J^-(r)
-    and r' for all 2^n regions r, built on first use (2^n ints each; up to
-    16 elements). `region_identity_failures` decides every region identity
-    of every spacelike pair in one walk, from four past-table entries per
-    pair.
+    Causal pasts come from a table holding J^-(r) for all 2^n regions r,
+    built on first use (2^n ints; up to 16 elements); `spacelike_pairs`
+    reads the complements r' from a second table of the same size.
+    `region_identity_failures` decides every region identity of every
+    spacelike pair in one walk, from four past-table entries per pair.
     """
 
     def __init__(self, elements: Sequence[str], closed_above: Sequence[int]):
@@ -181,18 +181,12 @@ class Causet:
         )
 
     def causal_complement(self, r: Region) -> Region:
-        """All points spacelike from every point of r; the full set for r = 0.
-
-        Read from the complement table; a causet too large for the table
-        meets the complements of r's points instead.
-        """
+        """All points spacelike from every point of r; the full set for r = 0."""
         self._check(r)
-        if self.n > _SWEEP_LIMIT:
-            out = self.full
-            for i in _bits(r):
-                out &= self._point_complement[i]
-            return out
-        return self._complement_table[r]
+        out = self.full
+        for i in _bits(r):
+            out &= self._point_complement[i]
+        return out
 
     @cached_property
     def _complement_table(self) -> tuple[Region, ...]:

@@ -23,8 +23,7 @@ maximal element, so this reaches every isomorphism class. A candidate is
 skipped when another of its maximal elements has a larger down-set than the
 new one (deletion pruning, after McKay's canonical deletion, "Isomorph-free
 exhaustive generation", 1998): every class still keeps the candidate that
-deletes a maximal element with the largest down-set, and 44 % of the
-canonical_form calls up to seven elements go.
+deletes a maximal element with the largest down-set.
 
 Determinism: work is partitioned by canonical causet index, per-causet
 measure seeds are derived from (seed, index), and results are merged in
