@@ -389,6 +389,40 @@ def test_ccs_output_is_pinned(data_dir, capsys, name, case, extra, code):
     assert capsys.readouterr().out == (golden / f"{name}.ccs.{case}.out").read_text()
 
 
+@pytest.mark.parametrize("case, argv", [
+    ("n4-seed7", ["--max-elements", "4", "--seed", "7"]),
+    ("q3-n3-seed7", ["--alphabet", "3", "--max-elements", "3", "--seed", "7"]),
+])
+def test_theorems_output_is_pinned(data_dir, capsys, case, argv):
+    # the dom-axioms suite's counts are part of these bytes
+    from causetlab.cli import main
+
+    assert main(["theorems", *argv]) == 0
+    assert capsys.readouterr().out == (data_dir / "golden" / f"theorems.{case}.out").read_text()
+
+
+@pytest.mark.parametrize("path, code", [
+    ("anti2_perf.json", 0),
+    ("chain2_uniform.json", 0),
+    ("cyclic.json", 2),
+    ("diamond_uniform.json", 0),
+    ("w_causet_uniform.json", 0),
+    ("golden/anti2_q3.json", 0),
+    ("golden/anti3_q2.json", 0),
+])
+@pytest.mark.parametrize("case, extra", [
+    ("all", []),
+    ("events12-seed3", ["--events", "12", "--seed", "3"]),
+])
+def test_dom_axioms_output_is_pinned(data_dir, capsys, path, code, case, extra):
+    from causetlab.cli import main
+
+    model = data_dir / path
+    assert main(["dom-axioms", "--model", str(model), *extra]) == code
+    golden = data_dir / "golden" / f"{model.stem}.dom-axioms.{case}.out"
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_identical_invocations_identical_bytes(data_dir):
     args = ("check", "--model", str(data_dir / "anti2_perf.json"), "--principle", "all")
     a, b = run_cli(*args), run_cli(*args)
