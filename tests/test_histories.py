@@ -12,6 +12,7 @@ from causetlab import (
     NotFullSpecError,
     check_dom_axioms,
     compose_full_specs,
+    enumerate_causets,
     full_specifications,
     gamma,
     is_partition,
@@ -20,7 +21,7 @@ from causetlab import (
 )
 from causetlab.causet import _popcount
 
-from oracles import brute_decides, brute_dom, brute_gamma, brute_phi
+from oracles import brute_axiom4, brute_decides, brute_dom, brute_gamma, brute_phi
 
 CANON = DomMap.canonical()
 
@@ -281,6 +282,66 @@ def test_dom_failing_axiom_1_is_reported_not_thrown(anti2_space):
     by_axiom = {r.axiom: r for r in report.results}
     assert not by_axiom[1].passed
     assert by_axiom[1].witness is not None
+
+
+def test_handcrafted_dom_fails_axiom_4():
+    # dom(Z) = past of the canonical dom: {"00"} then claims both elements,
+    # but the split ({e1}, {e0}) generates only the e0 cylinders, and
+    # {"00"} splits the e0 = 0 cylinder
+    causet = validate_causet(["e0", "e1"], [("e0", "e1")])
+    space = HistorySpace(causet, 2)
+    mapping = {e: causet.past(space.canonical_dom(e)) for e in range(space.omega + 1)}
+    (result,) = check_dom_axioms(space, DomMap.explicit(mapping), axioms=(4,)).results
+    assert not result.passed
+    assert result.checked == 3
+    assert result.witness == {
+        "event": ["00"],
+        "split": [["e1"], ["e0"]],
+        "split_atom": ["00", "01"],
+    }
+
+
+def _axiom4_spaces():
+    # every causet with n <= 3 (q = 2) and n <= 2 (q = 3) with all of its
+    # events, then every 4-causet (q = 2) with 100 sampled events
+    for q, top in ((2, 3), (3, 2)):
+        for n in range(1, top + 1):
+            for causet in enumerate_causets(n):
+                space = HistorySpace(causet, q)
+                yield space, range(space.omega + 1)
+    for idx, causet in enumerate(enumerate_causets(4)):
+        space = HistorySpace(causet, 2)
+        yield space, sample_events(space, 100, f"axiom4:{idx}")
+
+
+def _axiom4_reports(dom_of):
+    for space, universe in _axiom4_spaces():
+        for z in universe:
+            report = check_dom_axioms(space, CANON, universe=[z], axioms=(4,))
+            yield report.to_json(space)["axioms"][0], brute_axiom4(space, [z], dom_of(space))
+
+
+def test_axiom4_matches_the_per_split_oracle():
+    # the oracle takes doms from brute_dom and atoms from brute_phi
+    for got, expected in _axiom4_reports(lambda space: lambda e: brute_dom(space, e)):
+        assert got == expected
+        assert got["passed"]
+
+
+def test_axiom4_matches_the_per_split_oracle_on_shrunk_doms(monkeypatch):
+    # drop one element from some canonical doms: both sides must report the
+    # same failing split, atom and count
+    canonical_dom = HistorySpace.canonical_dom
+
+    def shrunk(self, e):
+        return canonical_dom(self, e) & ~(1 << e % self.causet.n)
+
+    monkeypatch.setattr(HistorySpace, "canonical_dom", shrunk)
+    outcomes = set()
+    for got, expected in _axiom4_reports(lambda space: space.canonical_dom):
+        assert got == expected
+        outcomes.add(got["passed"])
+    assert outcomes == {False, True}
 
 
 def test_sample_events_deterministic(anti2_space):
