@@ -70,8 +70,14 @@ def parse_event(space: HistorySpace, spec: Any) -> Event:
     if isinstance(spec, str):
         spec = json.loads(spec)
     if isinstance(spec, dict):
-        return space.cylinder({k: int(v) for k, v in spec.items()})
+        try:
+            assignment = {k: int(v) for k, v in spec.items()}
+        except TypeError:
+            raise ModelFileError(f"cylinder values must be integers: {spec!r}") from None
+        return space.cylinder(assignment)
     if isinstance(spec, list):
+        if not all(isinstance(key, str) for key in spec):
+            raise ModelFileError(f"history keys must be strings: {spec!r}")
         return space.event_from_histories(spec)
     raise ModelFileError(f"cannot read event description {spec!r}")
 

@@ -18,7 +18,8 @@ any failures. The laws:
   pairwise intersections of full specifications of the parts.
 - dom axioms: the canonical least-domain construction satisfies all four
   axioms, exhaustively on spaces of at most 16 histories and on seeded
-  random events at the sizes above.
+  random events at the sizes above. Axiom 4 decides each event once, on
+  the cells of Phi(dom Z), which are the atoms of every split of dom Z.
 - replication: on every uniform product model that satisfies SO1, the
   derivation steps toward SO2 all check out and the composed screeners
   exhaust the truncated-joint-past specifications.

@@ -246,6 +246,33 @@ def test_dom_axioms_command(data_dir):
     assert data["report"]["passed"] is True
 
 
+@pytest.mark.parametrize("events, code", [("16", 0), ("17", 2)])
+def test_dom_axioms_samples_at_most_every_event(data_dir, events, code):
+    # 4 histories have 16 distinct events; a 17th is refused before drawing
+    proc = subprocess.run(CLI + ["dom-axioms", "--model", str(data_dir / "anti2_perf.json"),
+                                 "--events", events], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code
+    if code:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("causetlab dom-axioms: cannot sample 17 distinct events")
+    else:
+        assert json.loads(proc.stdout)["report"]["universe_size"] == 16
+
+
+@pytest.mark.parametrize("event, message", [
+    ('{"x": 1}', "unknown element 'x'"),
+    ("[1]", "history keys must be strings"),
+    ('{"a": [1]}', "cylinder values must be integers"),
+])
+def test_unreadable_event_is_a_usage_error(data_dir, event, message):
+    proc = run_cli("ccs", "--model", str(data_dir / "diamond_uniform.json"),
+                   "--a", event, "--b", '{"a": 1}', "--c", '{"p": 1}')
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("causetlab ccs: ") and message in proc.stderr
+
+
 def test_ccs_command_single_cause(data_dir):
     proc = run_cli("ccs", "--model", str(data_dir / "anti2_perf.json"),
                    "--a", '{"x": 1}', "--b", '{"y": 1}', "--c", '{"x": 1}')

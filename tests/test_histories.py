@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from causetlab import (
     DomMap,
     EmptyIntersectionError,
+    ForeignRegionError,
     HistorySpace,
+    LimitError,
     NotDisjointError,
     NotFullSpecError,
     check_dom_axioms,
@@ -328,6 +330,16 @@ def test_axiom4_matches_the_per_split_oracle():
         assert got["passed"]
 
 
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 2)])
+def test_axiom4_on_a_spelled_out_map_matches_the_per_split_oracle(q, n):
+    # explicit doms build each split's atoms from their own generators
+    space = HistorySpace(validate_causet([f"e{i}" for i in range(n)], []), q)
+    universe = range(space.omega + 1)
+    dom = DomMap.explicit({e: space.canonical_dom(e) for e in universe})
+    report = check_dom_axioms(space, dom, axioms=(4,)).to_json(space)["axioms"][0]
+    assert report == brute_axiom4(space, universe, lambda e: brute_dom(space, e))
+
+
 def test_axiom4_matches_the_per_split_oracle_on_shrunk_doms(monkeypatch):
     # drop one element from some canonical doms: both sides must report the
     # same failing split, atom and count
@@ -342,6 +354,17 @@ def test_axiom4_matches_the_per_split_oracle_on_shrunk_doms(monkeypatch):
         assert got == expected
         outcomes.add(got["passed"])
     assert outcomes == {False, True}
+
+
+def test_sample_events_stops_at_every_event(anti2_space):
+    assert sorted(sample_events(anti2_space, 16, 5)) == list(range(16))
+    with pytest.raises(LimitError):
+        sample_events(anti2_space, 17, 5)
+
+
+def test_cylinder_rejects_an_unknown_label(anti2_space):
+    with pytest.raises(ForeignRegionError):
+        anti2_space.cylinder({"x": 1, "z": 0})
 
 
 def test_sample_events_deterministic(anti2_space):
