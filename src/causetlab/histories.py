@@ -344,8 +344,8 @@ def compose_full_specs(
 
 def sample_events(space: HistorySpace, k: int, seed: int | str) -> list[Event]:
     """k pseudo-random events, deterministic in the seed (duplicates kept off)."""
-    if k > space.omega + 1:
-        raise LimitError(f"cannot sample {k} distinct events: the space has 2^{space.size} events")
+    if not 0 <= k <= space.omega + 1:
+        raise LimitError(f"cannot sample {k} distinct events from a space of 2^{space.size} events")
     rng = random.Random(f"events:{seed}")
     out: list[Event] = []
     seen = set()
@@ -612,10 +612,11 @@ def _axiom4(
         sub = rest
         while True:
             x = sub | top
+            y = d ^ x
             checked += 1
-            for atom in _algebra_atoms(space, dom, x, d ^ x):
+            for atom in _algebra_atoms(space, dom, x, y):
                 if atom & z and atom & ~z:
-                    return _axiom4_failure(space, checked, z, x, d ^ x, atom)
+                    return _axiom4_failure(space, checked, z, x, y, atom)
             if sub == 0:
                 break
             sub = (sub - 1) & rest

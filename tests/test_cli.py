@@ -246,7 +246,7 @@ def test_dom_axioms_command(data_dir):
     assert data["report"]["passed"] is True
 
 
-@pytest.mark.parametrize("events, code", [("16", 0), ("17", 2)])
+@pytest.mark.parametrize("events, code", [("16", 0), ("17", 2), ("-3", 2)])
 def test_dom_axioms_samples_at_most_every_event(data_dir, events, code):
     # 4 histories have 16 distinct events; a 17th is refused before drawing
     proc = subprocess.run(CLI + ["dom-axioms", "--model", str(data_dir / "anti2_perf.json"),
@@ -254,7 +254,7 @@ def test_dom_axioms_samples_at_most_every_event(data_dir, events, code):
     assert proc.returncode == code
     if code:
         assert proc.stdout == ""
-        assert proc.stderr.startswith("causetlab dom-axioms: cannot sample 17 distinct events")
+        assert proc.stderr.startswith(f"causetlab dom-axioms: cannot sample {events} distinct events")
     else:
         assert json.loads(proc.stdout)["report"]["universe_size"] == 16
 
