@@ -9,7 +9,6 @@ from causetlab import (
     EmptyIntersectionError,
     ForeignRegionError,
     HistorySpace,
-    LimitError,
     NotDisjointError,
     NotFullSpecError,
     check_dom_axioms,
@@ -354,12 +353,6 @@ def test_axiom4_matches_the_per_split_oracle_on_shrunk_doms(monkeypatch):
         assert got == expected
         outcomes.add(got["passed"])
     assert outcomes == {False, True}
-
-
-def test_sample_events_stops_at_every_event(anti2_space):
-    assert sorted(sample_events(anti2_space, 16, 5)) == list(range(16))
-    with pytest.raises(LimitError):
-        sample_events(anti2_space, 17, 5)
 
 
 def test_cylinder_rejects_an_unknown_label(anti2_space):
