@@ -21,6 +21,11 @@ that of (mass(A&Ci) mass(Cj) - mass(A&Cj) mass(Ci)) times the same for B.
 `Fraction`s are built only for printed values (a failure's two sides,
 conditional probabilities).
 
+Replays are independent of the partial-sum tables: `direct_mass` sums the
+history masses bit by bit, and `replay_screen_failure` re-decides a recorded
+failing pair on those integers, checking them against the table masses the
+decision used.
+
 Besides evaluation this module holds the Reichenbachian common cause
 verdicts: the single-event common cause (screening on C and its complement
 plus two statistical relevance inequalities) and common cause systems
@@ -41,7 +46,12 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Mapping, Sequence
 
-from .errors import CapExceededError, NotAPartitionError, ZeroConditionError
+from .errors import (
+    CapExceededError,
+    InternalConsistencyError,
+    NotAPartitionError,
+    ZeroConditionError,
+)
 from .histories import DomMap, Event, HistorySpace, full_specifications
 
 ZERO = Fraction(0)
@@ -58,6 +68,8 @@ class MeasureTable:
     are set in s, so `mass(e)` is one lookup per byte of e. A last chunk of
     k < 8 histories gets 2^k entries. That is 32 ints per history, built
     once per measure; `HistorySpace` caps spaces at 2^20 histories.
+    `masses` keeps the integer mass of each history, which `direct_mass`
+    sums without the tables (and memoises per event).
     """
 
     def __init__(self, space: HistorySpace, weights: Sequence[Fraction]):
@@ -73,6 +85,8 @@ class MeasureTable:
         self.space = space
         self.weights = weights
         self.denominator = d
+        self.masses = tuple(nums)
+        self._direct: dict[Event, int] = {}
         self._tables = tuple(_partial_sums(nums[i:i + 8]) for i in range(0, len(nums), 8))
 
     # -- constructors ------------------------------------------------------
@@ -118,6 +132,20 @@ class MeasureTable:
         for table in self._tables:
             total += table[e & 255]
             e >>= 8
+        return total
+
+    def direct_mass(self, e: Event) -> int:
+        """mu(e) * D summed history by history over the set bits of e, without
+        the partial-sum tables: the recomputation that replays check against.
+        Memoised per event, as a matrix replays the same events many times."""
+        total = self._direct.get(e)
+        if total is None:
+            masses, total, rest = self.masses, 0, e
+            while rest:
+                low = rest & -rest
+                total += masses[low.bit_length() - 1]
+                rest ^= low
+            self._direct[e] = total
         return total
 
     def prob(self, e: Event) -> Fraction:
@@ -180,6 +208,24 @@ def _screen_failures(
         for b, mb in zip(events_b, mbs):
             if mass(ac & b) * mc != ma * mb:
                 yield a, b
+
+
+def replay_screen_failure(m: MeasureTable, a: Event, b: Event, c: Event) -> None:
+    """Re-decide that C fails to screen off (A, B) on direct history masses.
+
+    The four masses of the identity of `screens_off` are summed without the
+    partial-sum tables and must equal the table masses the decision read;
+    then mu(C) > 0 and mass(A&B&C) mass(C) != mass(A&C) mass(B&C) must hold.
+    Anything else is an implementation bug: InternalConsistencyError."""
+    events = (a & b & c, c, a & c, b & c)
+    direct, table = tuple(map(m.direct_mass, events)), tuple(map(m.mass, events))
+    if direct != table:
+        raise InternalConsistencyError(
+            f"table masses {table} differ from the history masses {direct} on replay"
+        )
+    mabc, mc, mac, mbc = direct
+    if mc == 0 or mabc * mc == mac * mbc:
+        raise InternalConsistencyError("a recorded failing pair screens off on replay")
 
 
 def screening_sides(m: MeasureTable, a: Event, b: Event, c: Event) -> tuple[Fraction, Fraction]:

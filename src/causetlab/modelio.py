@@ -56,8 +56,17 @@ def causet_from_data(data: Mapping[str, Any]) -> Causet:
     return validate_causet(body["elements"], relations)
 
 
+def _is_json_int(value: Any) -> bool:
+    """A JSON integer. JSON true and false load as bools, which Python also
+    counts as ints, and a float must not be truncated to one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def space_from_data(data: Mapping[str, Any]) -> HistorySpace:
-    return HistorySpace(causet_from_data(data), int(data.get("alphabet", 2)))
+    q = data.get("alphabet", 2)
+    if not _is_json_int(q):
+        raise ModelFileError(f"alphabet must be an integer: {q!r}")
+    return HistorySpace(causet_from_data(data), q)
 
 
 def parse_region(causet: Causet, spec: Any) -> Region:
@@ -70,11 +79,9 @@ def parse_event(space: HistorySpace, spec: Any) -> Event:
     if isinstance(spec, str):
         spec = json.loads(spec)
     if isinstance(spec, dict):
-        try:
-            assignment = {k: int(v) for k, v in spec.items()}
-        except TypeError:
-            raise ModelFileError(f"cylinder values must be integers: {spec!r}") from None
-        return space.cylinder(assignment)
+        if not all(map(_is_json_int, spec.values())):
+            raise ModelFileError(f"cylinder values must be integers: {spec!r}")
+        return space.cylinder(spec)
     if isinstance(spec, list):
         if not all(isinstance(key, str) for key in spec):
             raise ModelFileError(f"history keys must be strings: {spec!r}")

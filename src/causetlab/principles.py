@@ -23,8 +23,10 @@ Replication steps 1-2 are decided on the same events (`_decision_events`)
 and list their failures only for a failing screener block.
 
 Verdicts are deterministic: identical model and caps give byte-identical
-reports. The matrix checker replays every recorded failing pair against the
-measure, and every witness it lists re-evaluates to its recorded exact sides.
+reports. The matrix checker replays every recorded failing pair, and every
+witness it lists outside those records, on integer history masses summed
+without the partial-sum tables (`measure.replay_screen_failure`); `Fraction`
+sides are built only for the witnesses it lists.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .errors import (
     DomAxiomError,
     InternalConsistencyError,
     NotSpacelikeError,
+    ZeroConditionError,
 )
 from .histories import (
     DomMap,
@@ -52,7 +55,13 @@ from .histories import (
     full_specifications,
     gamma_capped,
 )
-from .measure import MeasureTable, _screen_failures, screening_sides, screens_off
+from .measure import (
+    MeasureTable,
+    _screen_failures,
+    replay_screen_failure,
+    screening_sides,
+    screens_off,
+)
 
 PRINCIPLES = ("so1", "so2", "fin-so1", "fin-so2")
 
@@ -179,11 +188,16 @@ class Witness:
 
 
 def replay_witness(model: Model, w: Witness) -> tuple[Fraction, Fraction]:
-    """Recompute both sides of a witness directly from the measure."""
-    m = model.measure
-    lhs = m.cond_prob(w.event_a & w.event_b, w.screener)
-    rhs = m.cond_prob(w.event_a, w.screener) * m.cond_prob(w.event_b, w.screener)
-    return lhs, rhs
+    """Recompute both sides of a witness, mu(A & B | C) and
+    mu(A | C) mu(B | C), from the measure's history masses, without the
+    partial-sum tables that decided it."""
+    mass = model.measure.direct_mass
+    c = w.screener
+    mc = mass(c)
+    if mc == 0:
+        raise ZeroConditionError("conditioning event has probability zero")
+    lhs = Fraction(mass(w.event_a & w.event_b & c), mc)
+    return lhs, Fraction(mass(w.event_a & c), mc) * Fraction(mass(w.event_b & c), mc)
 
 
 Failure = tuple[Region, Region, Event, tuple[tuple[Event, Event], ...]]
@@ -321,17 +335,17 @@ def _witnesses(
 ) -> Iterator[Witness]:
     """Every failing (A, B, C) under the failing screeners, over the capped
     Gamma of both sides in the sweep's order (canonical Gamma ascends by cell
-    subset). Unless `replayed` is None, each witness whose
-    (region_a, region_b, C, A, B) is not in `replayed` is replayed as it is
+    subset), with its `Fraction` sides. Unless `replayed` is None, each
+    witness whose (region_a, region_b, C, A, B) is not in `replayed` is
+    replayed on integer history masses (`replay_screen_failure`) as it is
     listed."""
     space, dom, measure = model.space, model.dom, model.measure
     for ra, rb, c, _ in failures:
         gam_a, gam_b = gamma_capped(space, dom, ra, cap)[0], gamma_capped(space, dom, rb, cap)[0]
         for a, b in _screen_failures(measure, gam_a, gam_b, c):
-            w = Witness(principle, ra, rb, a, b, c, *screening_sides(measure, a, b, c))
             if replayed is not None and (ra, rb, c, a, b) not in replayed:
-                _replay(model, w)
-            yield w
+                replay_screen_failure(measure, a, b, c)
+            yield Witness(principle, ra, rb, a, b, c, *screening_sides(measure, a, b, c))
 
 
 def _trivial_outcome(model: Model, ra: Region, rb: Region, screener_region: Region, cap: int) -> _FamilyOutcome:
@@ -429,14 +443,6 @@ def _assemble(
     )
 
 
-def _replay(model: Model, w: Witness) -> None:
-    lhs, rhs = replay_witness(model, w)
-    if lhs == rhs or lhs != w.lhs or rhs != w.rhs:
-        raise InternalConsistencyError(
-            f"witness does not replay: recorded {w.lhs}!={w.rhs}, got {lhs} vs {rhs}"
-        )
-
-
 def check_principle(
     model: Model,
     which: str,
@@ -492,12 +498,15 @@ def implication_matrix(
     The two subset implications (SOk => FIN-SOk) are asserted as internal
     consistency; their failure is an implementation bug and aborts. Every
     failing cell triple (canonical doms) or first failing event triple per
-    screener (explicit doms) is replayed against the measure before the
-    matrix is returned and must fail there too. The verdicts share these
+    screener (explicit doms) is replayed before the matrix is returned: its
+    four masses are recomputed as integers from the history masses, without
+    the partial-sum tables, must equal the table masses, and must fail the
+    screening identity (`replay_screen_failure`). The verdicts share these
     records (SOk and FIN-SOk read the same sweep), so each distinct
-    (region_a, region_b, C, A, B) is re-checked and replayed once. The
-    verdicts' witnesses are listed lazily, and each one outside those records
-    is replayed as it is listed.
+    (region_a, region_b, C, A, B) is replayed once, and no `Fraction` is
+    built for it. The verdicts' witnesses are listed lazily with their
+    `Fraction` sides, and each one outside those records is replayed the same
+    way as it is listed.
     """
     caps = caps or Caps()
     outcomes = _sweep(model, caps, ("p1", "p2"))
@@ -515,13 +524,9 @@ def implication_matrix(
     for verdict in verdicts.values():
         for ra, rb, c, pairs in verdict.failures:
             for a, b in pairs:
-                if (ra, rb, c, a, b) in replayed:
-                    continue
-                replayed.add((ra, rb, c, a, b))
-                if screens_off(model.measure, a, b, c):
-                    raise InternalConsistencyError("a recorded failing pair screens off on replay")
-                sides = screening_sides(model.measure, a, b, c)
-                _replay(model, Witness(verdict.principle, ra, rb, a, b, c, *sides))
+                if (ra, rb, c, a, b) not in replayed:
+                    replayed.add((ra, rb, c, a, b))
+                    replay_screen_failure(model.measure, a, b, c)
     implications = {}
     for p in PRINCIPLES:
         for q in PRINCIPLES:

@@ -136,6 +136,17 @@ def test_bad_weights_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("alphabet", [2.5, True, "2"])
+def test_non_integer_alphabet_exits_2(tmp_path, alphabet):
+    path = tmp_path / "alphabet.json"
+    path.write_text(json.dumps({"causet": {"elements": ["x"], "relations": []}, "alphabet": alphabet}))
+    proc = run_cli("check", "--model", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"causetlab check: alphabet must be an integer: {alphabet!r}\n"
+
+
 @pytest.mark.parametrize("sizes", [
     ["--max-elements", "0"],
     ["--max-elements", "-3"],
@@ -159,12 +170,20 @@ def test_theorems_rejects_sizes_before_enumerating(sizes, monkeypatch, capsys):
 
 
 def test_internal_consistency_failure_exits_3(data_dir, monkeypatch, capsys):
-    # a witness that no longer replays is an implementation bug, not a usage error
-    import causetlab.principles as principles
-    from causetlab.cli import main
+    # a partial-sum table that disagrees with the history masses is an
+    # implementation bug, not a usage error: the replay recomputes the masses
+    # without the tables and must catch it
+    import causetlab.cli as cli
 
-    monkeypatch.setattr(principles, "replay_witness", lambda model, w: (w.lhs, w.lhs))
-    code = main(["check", "--model", str(data_dir / "anti2_perf.json"), "--principle", "all"])
+    real = cli.load_model
+
+    def tampered(*args, **kwargs):
+        model = real(*args, **kwargs)
+        model.measure._tables[0][-1] += 1  # mass(Omega), the screener of every pair here
+        return model
+
+    monkeypatch.setattr(cli, "load_model", tampered)
+    code = cli.main(["check", "--model", str(data_dir / "anti2_perf.json"), "--principle", "all"])
     out, err = capsys.readouterr()
     assert code == 3
     assert out == ""
@@ -263,6 +282,9 @@ def test_dom_axioms_samples_at_most_every_event(data_dir, events, code):
     ('{"x": 1}', "unknown element 'x'"),
     ("[1]", "history keys must be strings"),
     ('{"a": [1]}', "cylinder values must be integers"),
+    ('{"a": 1.7}', "cylinder values must be integers"),
+    ('{"a": true}', "cylinder values must be integers"),
+    ('{"a": "a"}', "cylinder values must be integers"),
 ])
 def test_unreadable_event_is_a_usage_error(data_dir, event, message):
     proc = run_cli("ccs", "--model", str(data_dir / "diamond_uniform.json"),

@@ -106,6 +106,7 @@ def test_integer_masses_match_the_fraction_oracle(drawn):
     assert m.denominator == lcm(*(w.denominator for w in m.weights))
     for e in (a, b, c, a & b, a & b & c):
         assert Fraction(m.mass(e), m.denominator) == brute_prob(m, e) == m.prob(e)
+        assert m.direct_mass(e) == m.mass(e) == brute_prob(m, e) * m.denominator
     assert screens_off(m, a, b, c) == brute_screens(m, a, b, c)
     assert is_correlated(m, a, b) == (brute_prob(m, a & b) > brute_prob(m, a) * brute_prob(m, b))
 

@@ -233,13 +233,13 @@ def test_matrix_replays_each_distinct_failing_triple_once(monkeypatch):
     import causetlab.principles as principles
 
     calls = []
-    real = principles.replay_witness
+    real = principles.replay_screen_failure
 
-    def counted(model, w):
-        calls.append((w.region_a, w.region_b, w.screener, w.event_a, w.event_b))
-        return real(model, w)
+    def counted(measure, a, b, c):
+        calls.append((c, a, b))
+        return real(measure, a, b, c)
 
-    monkeypatch.setattr(principles, "replay_witness", counted)
+    monkeypatch.setattr(principles, "replay_screen_failure", counted)
     matrix = implication_matrix(_v_copy_model())
     assert matrix.bits == "0000"
     records = [
@@ -249,7 +249,7 @@ def test_matrix_replays_each_distinct_failing_triple_once(monkeypatch):
         for a, b in pairs
     ]
     assert len(records) > len(set(records))  # SOk and FIN-SOk share them
-    assert sorted(calls) == sorted(set(records))
+    assert sorted(calls) == sorted((c, a, b) for ra, rb, c, a, b in set(records))
     # every witness here is a recorded cell pair, so listing replays none
     del calls[:]
     assert all(verdict.witnesses for verdict in matrix.verdicts.values())
