@@ -22,9 +22,9 @@ that of (mass(A&Ci) mass(Cj) - mass(A&Cj) mass(Ci)) times the same for B.
 conditional probabilities).
 
 Replays are independent of the partial-sum tables: `direct_mass` sums the
-history masses bit by bit, and `replay_screen_failure` re-decides a recorded
-failing pair on those integers, checking them against the table masses the
-decision used.
+history masses over an event's bits in one linear pass, and
+`replay_screen_failure` re-decides a recorded failing pair on those integers,
+checking them against the table masses the decision used.
 
 Besides evaluation this module holds the Reichenbachian common cause
 verdicts: the single-event common cause (screening on C and its complement
@@ -43,6 +43,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from typing import Iterator, Mapping, Sequence
 
@@ -69,7 +70,7 @@ class MeasureTable:
     k < 8 histories gets 2^k entries. That is 32 ints per history, built
     once per measure; `HistorySpace` caps spaces at 2^20 histories.
     `masses` keeps the integer mass of each history, which `direct_mass`
-    sums without the tables (and memoises per event).
+    sums without the tables.
     """
 
     def __init__(self, space: HistorySpace, weights: Sequence[Fraction]):
@@ -86,7 +87,6 @@ class MeasureTable:
         self.weights = weights
         self.denominator = d
         self.masses = tuple(nums)
-        self._direct: dict[Event, int] = {}
         self._tables = tuple(_partial_sums(nums[i:i + 8]) for i in range(0, len(nums), 8))
 
     # -- constructors ------------------------------------------------------
@@ -137,16 +137,8 @@ class MeasureTable:
     def direct_mass(self, e: Event) -> int:
         """mu(e) * D summed history by history over the set bits of e, without
         the partial-sum tables: the recomputation that replays check against.
-        Memoised per event, as a matrix replays the same events many times."""
-        total = self._direct.get(e)
-        if total is None:
-            masses, total, rest = self.masses, 0, e
-            while rest:
-                low = rest & -rest
-                total += masses[low.bit_length() - 1]
-                rest ^= low
-            self._direct[e] = total
-        return total
+        One pass over the binary digits of e, lowest history first."""
+        return sum(compress(self.masses, bin(e)[:1:-1].encode().translate(_BITS)))
 
     def prob(self, e: Event) -> Fraction:
         return Fraction(self.mass(e), self.denominator)
@@ -165,6 +157,9 @@ class MeasureTable:
             for h, w in enumerate(self.weights)
             if w
         }
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits as the bytes 0 and 1
 
 
 def _partial_sums(nums: Sequence[int]) -> list[int]:

@@ -188,6 +188,7 @@ def test_internal_consistency_failure_exits_3(data_dir, monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("causetlab check: internal consistency failure: ")
+    assert "differ from the history masses" in err
 
 
 @pytest.mark.parametrize("truncated", [False, True])
