@@ -72,26 +72,7 @@ class HistorySpace:
             for h in range(self.size):
                 per_value[self._value(h, i)] |= 1 << h
             self._value_masks.append(per_value)
-        # For q == 2, flipping element i toggles bit i of the history index:
-        # history h with digit 0 at i swaps with h + 2^i. On event masks that
-        # is a shift by 2^i bit positions, each way, masked by _flip_low[i]
-        # (the histories with digit 0 at i).
-        self._flip_low: list[int] = []
-        if self.q == 2:
-            for i in range(causet.n):
-                self._flip_low.append(self._value_masks[i][0])
-        else:
-            self._perms: list[list[int]] = []
-            for i in range(causet.n):
-                step = self.q ** i
-                perm = []
-                for h in range(self.size):
-                    v = self._value(h, i)
-                    perm.append(h - v * step + ((v + 1) % self.q) * step)
-                self._perms.append(perm)
         self._phi_cache: dict[Region, tuple[Event, ...]] = {}
-        # dom-axiom reports by (dom key, family size), filled by Model.build
-        self.axiom_reports: dict[tuple[object, int], DomAxiomReport] = {}
 
     def _value(self, h: int, i: int) -> int:
         return (h // (self.q ** i)) % self.q
@@ -148,16 +129,16 @@ class HistorySpace:
     # -- canonical dom and full specifications ------------------------------
 
     def flip_event(self, e: Event, i: int) -> Event:
-        """The event permuted by cycling the value at element i by +1 mod q."""
-        if self.q == 2:
-            low = self._flip_low[i]
-            d = 1 << i  # index offset between sibling histories
-            return ((e & low) << d) | ((e >> d) & low)
-        out = 0
-        perm = self._perms[i]
-        for h in _bits(e):
-            out |= 1 << perm[h]
-        return out
+        """The event permuted by cycling the value at element i by +1 mod q.
+
+        A history with value v < q - 1 at element i moves to index + q^i,
+        and one with value q - 1 wraps to index - (q - 1) q^i. On event masks
+        that is two shifts: histories outside the top-value mask of element
+        i move up by q^i bit positions, those inside it down by (q - 1) q^i.
+        """
+        step = self.q ** i
+        top = self._value_masks[i][self.q - 1]
+        return ((e & ~top) << step) | ((e & top) >> (self.q - 1) * step)
 
     def canonical_dom(self, e: Event) -> Region:
         """Dependency set: elements whose value can change membership in e.

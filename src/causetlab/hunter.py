@@ -316,13 +316,6 @@ def _hunt_causet(task: tuple[int, tuple[int, ...], SearchConfig]) -> dict:
     if not _passes_filters(causet, config.filters):
         return {"index": index, "skipped": True, "findings": [], "truth": {}, "models": 0}
     space = HistorySpace(causet, config.alphabet_size)
-    # gap closure is measure-independent, so it is checked once per causet
-    probe = Model.build(space, MeasureTable.uniform(space))
-    gap_mismatch = False
-    for ra, rb in causet.spacelike_pairs(max_size=config.caps.region_size):
-        if not gap_closure_check(probe, ra, rb).equal:
-            gap_mismatch = True
-            break
     measures = sample_measures(
         space, config.measures_per_model, f"{config.seed}:{index}", config.denominator_bound
     )
@@ -330,10 +323,16 @@ def _hunt_causet(task: tuple[int, tuple[int, ...], SearchConfig]) -> dict:
     if config.include_perfect:
         measures.append(MeasureTable.perfectly_correlated(space))
         kinds.append("perfect")
+    models = [Model.build(space, measure) for measure in measures]
+    # gap closure is measure-independent, so it is checked once per causet,
+    # on the first (uniform) model
+    gap_mismatch = any(
+        not gap_closure_check(models[0], ra, rb).equal
+        for ra, rb in causet.spacelike_pairs(max_size=config.caps.region_size)
+    )
     findings = []
     truth: dict[str, int] = {}
-    for kind, measure in zip(kinds, measures):
-        model = Model.build(space, measure)
+    for kind, model in zip(kinds, models):
         matrix = implication_matrix(model, config.caps, config.zero_mode)
         bits = matrix.bits
         truth[bits] = truth.get(bits, 0) + 1
@@ -346,7 +345,7 @@ def _hunt_causet(task: tuple[int, tuple[int, ...], SearchConfig]) -> dict:
                 "relations": [list(p) for p in causet.relation_pairs()],
             },
             "alphabet": config.alphabet_size,
-            "measure": {"weights": measure.weight_strings()},
+            "measure": {"weights": model.measure.weight_strings()},
             "measure_kind": kind,
             "caps": config.caps.to_json(),
             "zero_mode": config.zero_mode,

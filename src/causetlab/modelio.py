@@ -103,17 +103,18 @@ def dom_from_data(space: HistorySpace, spec: Any) -> DomMap:
 def measure_from_data(space: HistorySpace, spec: Any) -> MeasureTable:
     if spec in (None, "uniform"):
         return MeasureTable.uniform(space)
-    if isinstance(spec, dict) and "weights" in spec:
+    if isinstance(spec, dict) and isinstance(spec.get("weights"), dict):
         try:
             weights = {k: Fraction(v) for k, v in spec["weights"].items()}
-        except (ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ModelFileError(f"bad weight in measure: {exc}") from exc
         return MeasureTable.from_weights(space, weights)
-    if isinstance(spec, dict) and "random" in spec:
+    if isinstance(spec, dict) and isinstance(spec.get("random"), dict):
         params = spec["random"]
-        return MeasureTable.random(
-            space, params.get("seed", 0), params.get("denominator_bound", 100)
-        )
+        bound = params.get("denominator_bound", 100)
+        if not (_is_json_int(bound) and bound >= 0):
+            raise ModelFileError(f"denominator_bound must be a non-negative integer: {bound!r}")
+        return MeasureTable.random(space, params.get("seed", 0), bound)
     raise ModelFileError(f"cannot read measure description {spec!r}")
 
 

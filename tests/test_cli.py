@@ -147,6 +147,42 @@ def test_non_integer_alphabet_exits_2(tmp_path, alphabet):
     assert proc.stderr == f"causetlab check: alphabet must be an integer: {alphabet!r}\n"
 
 
+@pytest.mark.parametrize("bound", [True, 2.5, -1, "7"])
+def test_bad_denominator_bound_exits_2(tmp_path, bound):
+    path = tmp_path / "random.json"
+    path.write_text(json.dumps({
+        "causet": {"elements": ["x"], "relations": []},
+        "measure": {"random": {"seed": 7, "denominator_bound": bound}},
+    }))
+    proc = run_cli("check", "--model", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        f"causetlab check: denominator_bound must be a non-negative integer: {bound!r}\n"
+    )
+
+
+@pytest.mark.parametrize("measure", [{"random": 5}, {"weights": 5}, {"weights": {"0": [1]}}])
+def test_unreadable_measure_exits_2(tmp_path, measure):
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps({"causet": {"elements": ["x"], "relations": []}, "measure": measure}))
+    proc = run_cli("check", "--model", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("causetlab check: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("cap", ["region=2.5", "region=true", "region", "algebra=x"])
+def test_non_integer_cap_exits_2(data_dir, cap):
+    proc = run_cli("check", "--model", str(data_dir / "anti2_perf.json"), "--caps", cap)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"causetlab check: cap {cap!r} must be a non-negative integer\n"
+
+
 @pytest.mark.parametrize("sizes", [
     ["--max-elements", "0"],
     ["--max-elements", "-3"],
@@ -471,6 +507,51 @@ def test_dom_axioms_output_is_pinned(data_dir, capsys, path, code, case, extra):
     assert main(["dom-axioms", "--model", str(model), *extra]) == code
     golden = data_dir / "golden" / f"{model.stem}.dom-axioms.{case}.out"
     assert capsys.readouterr().out == golden.read_text()
+
+
+def test_dom_axioms_checks_an_explicit_map_once(tmp_path, monkeypatch, capsys):
+    import warnings
+
+    import causetlab.histories as histories
+    import causetlab.principles as principles
+    from causetlab.cli import main
+
+    # the canonical dom of a 2-element antichain spelled out, but with
+    # dom({x=1}) = {x, y}, which breaks axiom 3
+    space = HistorySpace(causet_from_data({"elements": ["x", "y"]}), 2)
+    dom = {
+        json.dumps(space.event_keys(e)): list(space.causet.labels(space.canonical_dom(e)))
+        for e in range(space.omega + 1)
+    }
+    dom[json.dumps(space.event_keys(space.cylinder({"x": 1})))] = ["x", "y"]
+    path = tmp_path / "explicit.json"
+    path.write_text(json.dumps({"causet": {"elements": ["x", "y"]}, "dom": dom}))
+
+    calls = []
+    check = histories.check_dom_axioms
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(histories, "check_dom_axioms", counted)
+    monkeypatch.setattr(principles, "check_dom_axioms", counted)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["dom-axioms", "--model", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert len(calls) == 1
+    assert [str(w.message) for w in caught] == [] and err == ""
+    assert out == (
+        '{"conventions":{"full_specification_subset":"non-strict (dom(F) subseteq R)",'
+        '"relevance_form":"printed","zero_probability_screeners":"vacuous"},'
+        '"report":{"axioms":[{"axiom":1,"checked":18,"passed":true,"witness":null},'
+        '{"axiom":2,"checked":222,"passed":true,"witness":null},'
+        '{"axiom":3,"checked":6,"passed":false,"witness":{"dom":["x"],'
+        '"dom_of_complement":["x","y"],"event":["00","01"]}},'
+        '{"axiom":4,"checked":27,"passed":true,"witness":null}],'
+        '"family_size":3,"passed":false,"stamped":null,"universe_size":16}}\n'
+    )
 
 
 def test_identical_invocations_identical_bytes(data_dir):

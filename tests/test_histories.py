@@ -76,8 +76,9 @@ def test_dom_matches_brute_force_flips(e):
     assert _W_SPACE.canonical_dom(e) == brute_dom(_W_SPACE, e)
 
 
-def test_dom_matches_brute_force_ternary_alphabet(anti2):
-    space = HistorySpace(anti2, 3)
+@pytest.mark.parametrize("q", [3, 4])
+def test_dom_matches_brute_force_ternary_alphabet(anti2, q):
+    space = HistorySpace(anti2, q)
     for e in range(0, space.omega + 1, 7):  # a deterministic spread of events
         assert space.canonical_dom(e) == brute_dom(space, e)
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from causetlab import (
     PRINCIPLES,
     Caps,
+    DomAxiomReport,
     DomMap,
     HistorySpace,
     MeasureTable,
@@ -75,7 +76,7 @@ def small_models(draw):
         dom = DomMap.explicit({e: space.canonical_dom(e) for e in range(space.omega + 1)})
     else:
         dom = DomMap.canonical()
-    return Model.build(space, measure, dom, axiom_policy="skip")
+    return Model(space, measure, dom, DomAxiomReport((), 0, 0, stamped="unchecked"))
 
 
 def _oracle(model, past_of):

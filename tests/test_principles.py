@@ -319,6 +319,16 @@ def test_forced_build_warns(anti2_space, perf):
         Model.build(anti2_space, perf, dom, force=True)
 
 
+def test_each_explicit_dom_is_judged_on_its_own(anti2_space, perf):
+    # maps are dropped after each build, so a new one can reuse a freed
+    # map's id(); no report may carry over from one map to the next
+    valid = {e: anti2_space.canonical_dom(e) for e in range(anti2_space.omega + 1)}
+    for _ in range(200):
+        with pytest.raises(DomAxiomError):
+            Model.build(anti2_space, perf, _broken_dom_model(anti2_space, perf))
+        assert Model.build(anti2_space, perf, DomMap.explicit(valid)).axiom_ok
+
+
 def test_explicit_dom_model_checkable(anti2_space, perf):
     # a *valid* explicit dom map (the canonical one, spelled out) works end to end
     mapping = {e: anti2_space.canonical_dom(e) for e in range(anti2_space.omega + 1)}
