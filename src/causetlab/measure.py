@@ -23,8 +23,9 @@ conditional probabilities).
 
 Replays are independent of the partial-sum tables: `direct_mass` sums the
 history masses over an event's bits in one linear pass, and
-`replay_screen_failure` re-decides a recorded failing pair on those integers,
-checking them against the table masses the decision used.
+`replay_screen_failures` re-decides the recorded failing pairs of one
+screener on those integers, checking them against the table masses the
+decision used.
 
 Besides evaluation this module holds the Reichenbachian common cause
 verdicts: the single-event common cause (screening on C and its complement
@@ -205,22 +206,39 @@ def _screen_failures(
                 yield a, b
 
 
-def replay_screen_failure(m: MeasureTable, a: Event, b: Event, c: Event) -> None:
-    """Re-decide that C fails to screen off (A, B) on direct history masses.
+def replay_screen_failures(m: MeasureTable, c: Event, pairs: Sequence[tuple[Event, Event]]) -> None:
+    """Re-decide that C fails to screen off each (A, B) of `pairs`, on direct
+    history masses.
 
-    The four masses of the identity of `screens_off` are summed without the
-    partial-sum tables and must equal the table masses the decision read;
-    then mu(C) > 0 and mass(A&B&C) mass(C) != mass(A&C) mass(B&C) must hold.
-    Anything else is an implementation bug: InternalConsistencyError."""
-    events = (a & b & c, c, a & c, b & c)
-    direct, table = tuple(map(m.direct_mass, events)), tuple(map(m.mass, events))
-    if direct != table:
-        raise InternalConsistencyError(
-            f"table masses {table} differ from the history masses {direct} on replay"
-        )
-    mabc, mc, mac, mbc = direct
-    if mc == 0 or mabc * mc == mac * mbc:
-        raise InternalConsistencyError("a recorded failing pair screens off on replay")
+    For each pair, the four masses of the identity of `screens_off` are
+    summed without the partial-sum tables and must equal the table masses
+    the decision read; then mu(C) > 0 and
+    mass(A&B&C) mass(C) != mass(A&C) mass(B&C) must hold. Anything else is an
+    implementation bug: InternalConsistencyError. The pairs share C, and
+    mostly their A&C and B&C, so each of those is summed once; A&B&C once
+    per pair."""
+    direct_mass, mass = m.direct_mass, m.mass
+    known = {
+        e: (direct_mass(e), mass(e))
+        for e in {c, *(a & c for a, _ in pairs), *(b & c for _, b in pairs)}
+    }
+    mc, table_c = known[c]
+    for a, b in pairs:
+        abc = a & b & c
+        (mac, table_ac), (mbc, table_bc) = known[a & c], known[b & c]
+        direct = (direct_mass(abc), mc, mac, mbc)
+        table = (mass(abc), table_c, table_ac, table_bc)
+        if direct != table:
+            raise InternalConsistencyError(
+                f"table masses {table} differ from the history masses {direct} on replay"
+            )
+        if mc == 0 or direct[0] * mc == mac * mbc:
+            raise InternalConsistencyError("a recorded failing pair screens off on replay")
+
+
+def replay_screen_failure(m: MeasureTable, a: Event, b: Event, c: Event) -> None:
+    """`replay_screen_failures` for the one pair (A, B)."""
+    replay_screen_failures(m, c, ((a, b),))
 
 
 def screening_sides(m: MeasureTable, a: Event, b: Event, c: Event) -> tuple[Fraction, Fraction]:

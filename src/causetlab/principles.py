@@ -15,18 +15,28 @@ treated as per-model empirical data, and `replicate_so1_to_so2` plus
 textbook derivation of SO2 from SO1, including the final set-coverage
 comparison that the derivation itself leaves open.
 
-Canonical doms are decided on pairs of Phi cells, explicit doms event by
-event (see `_eval_family`), both through the screening kernel
-`measure._screen_failures`. A verdict keeps only the failing pairs and lists
-its witnesses, every failing event triple of the sweep, lazily from them.
-Replication steps 1-2 are decided on the same events (`_decision_events`)
-and list their failures only for a failing screener block.
+A sweep has two parts. Its plan (`_SweepPlan`) is everything the measure
+does not decide: the spacelike pairs in sweep order and, per screener family
+(p1 or p2, built on first use), the events both sides of each pair range
+over (`_decision_events`), the screeners and the verdict counts they fix.
+It depends only on the history space, the dom and the caps, so plans of
+canonical doms are cached per space and caps (weakly: a plan goes with its
+space) and every measure on a space shares one; explicit dom maps are
+planned afresh on every call. A plan is immutable, so no measure's outcome
+reaches another's. The evaluation (`_evaluate`) only does mass work:
+canonical doms are decided on pairs of Phi cells, explicit doms event by
+event, both through the screening kernel `measure._screen_failures`. A
+verdict keeps only the failing pairs and lists its witnesses, every failing
+event triple of the sweep, lazily from them. Replication steps 1-2 are
+decided on the same events and list their failures only for a failing
+screener block.
 
 Verdicts are deterministic: identical model and caps give byte-identical
-reports. The matrix checker replays every recorded failing pair, and every
-witness it lists outside those records, on integer history masses summed
-without the partial-sum tables (`measure.replay_screen_failure`); `Fraction`
-sides are built only for the witnesses it lists.
+reports. The matrix checker replays every recorded failing pair, screener by
+screener (`measure.replay_screen_failures`), and every witness it lists
+outside those records (`measure.replay_screen_failure`), on integer history
+masses summed without the partial-sum tables; `Fraction` sides are built
+only for the witnesses it lists.
 """
 
 from __future__ import annotations
@@ -36,7 +46,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import islice
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
+from weakref import WeakKeyDictionary
 
 from .causet import Causet, Region, _popcount
 from .errors import (
@@ -59,6 +70,7 @@ from .measure import (
     MeasureTable,
     _screen_failures,
     replay_screen_failure,
+    replay_screen_failures,
     screening_sides,
     screens_off,
 )
@@ -243,27 +255,63 @@ class Verdict:
         }
 
 
-# -- the sweep engine -------------------------------------------------------
+# -- the sweep engine: a plan per space, an evaluation per measure ------------
 
 
-@dataclass
-class _FamilyOutcome:
-    failing: list[Failure] = field(default_factory=list)
+class _FamilyOutcome(NamedTuple):
+    """One family's decision on one region pair: the failing screeners, the
+    zero-mass ones, and the counts of the full sweep."""
+
+    failing: tuple[Failure, ...] = ()
     screeners: int = 0
-    zero_screeners: list[Event] = field(default_factory=list)
+    zero_screeners: tuple[Event, ...] = ()
     event_pairs: int = 0
     tests: int = 0
     truncated: bool = False
 
 
-@dataclass
-class _PairOutcome:
+class _FamilyPlan(NamedTuple):
+    """What one family's decision on a region pair with nonempty sides ranges
+    over, for every measure: the events of both sides (`_decision_events`),
+    take_a * take_b, whether a cap cut either algebra short, and the
+    screeners Phi(past)."""
+
+    events_a: tuple[Event, ...]
+    events_b: tuple[Event, ...]
+    event_pairs: int
+    truncated: bool
+    screeners: tuple[Event, ...]
+
+
+class _PlanPair(NamedTuple):
     ra: Region
     rb: Region
     finite: bool
     trivial: bool
     skipped: bool
-    families: dict[str, _FamilyOutcome] = field(default_factory=dict)
+
+
+_COUNT_KEYS = (
+    "region_pairs",
+    "region_pairs_nonempty",
+    "region_pairs_skipped",
+    "event_pairs",
+    "screeners",
+    "screening_tests",
+    "zero_screeners",
+)
+
+
+class _Family(NamedTuple):
+    """One screener family of a plan. `nonempty` holds the pairs with both
+    sides nonempty that are not skipped, in sweep order, each with its
+    `_FamilyPlan`. `totals[finite_only]` holds a verdict's counts, as
+    (key, value) items, and its capped flag, over all the pairs it ranges
+    over, except what a measure decides: the screening tests of the nonempty
+    pairs (zero-mass screeners are not tested) and the zero screeners."""
+
+    nonempty: tuple[tuple[_PlanPair, _FamilyPlan], ...]
+    totals: tuple[tuple[tuple[tuple[str, int], ...], bool], ...]
 
 
 def _algebra_size(space: HistorySpace, region: Region, cap: int) -> tuple[int, bool]:
@@ -277,49 +325,167 @@ def _algebra_size(space: HistorySpace, region: Region, cap: int) -> tuple[int, b
 
 def _decision_events(
     space: HistorySpace, dom: DomMap, region: Region, cap: int
-) -> tuple[list[Event], int, bool]:
+) -> tuple[tuple[Event, ...], int, bool]:
     """(events, take, truncated): the events a capped decision over
     Gamma(region) ranges over, how many events the cap takes, and whether it
     leaves some out. Canonical doms: the Phi cells whose singleton event
     (encoding 1 << j) lies in the capped prefix of Gamma, which holds only
-    unions of them. Explicit doms: the capped Gamma itself."""
+    unions of them; that is a prefix of the cells, and all of them (the
+    cached tuple itself) unless the cap is below 2^(cells - 1). Explicit
+    doms: the capped Gamma itself."""
     if dom.is_canonical:
         take, truncated = _algebra_size(space, region, cap)
-        cells = space.phi_cells(region)
-        return [cell for j, cell in enumerate(cells) if 1 << j < take], take, truncated
+        return space.phi_cells(region)[:max(take - 1, 0).bit_length()], take, truncated
     events, truncated = gamma_capped(space, dom, region, cap)
-    return events, len(events), truncated
+    return tuple(events), len(events), truncated
 
 
-def _eval_family(
-    model: Model, ra: Region, rb: Region, screener_region: Region, cap: int
+def _family_plan(
+    space: HistorySpace, dom: DomMap, ra: Region, rb: Region, screener_region: Region, cap: int
+) -> _FamilyPlan:
+    events_a, take_a, trunc_a = _decision_events(space, dom, ra, cap)
+    events_b, take_b, trunc_b = _decision_events(space, dom, rb, cap)
+    if dom.is_canonical:
+        screeners = space.phi_cells(screener_region)
+    else:
+        screeners = tuple(full_specifications(space, dom, screener_region))
+    return _FamilyPlan(events_a, events_b, take_a * take_b, trunc_a or trunc_b, screeners)
+
+
+def _trivial_outcome(space: HistorySpace, ra: Region, rb: Region, screener_region: Region, cap: int) -> _FamilyOutcome:
+    # A pair with an empty side only ranges over events in {empty, Omega},
+    # and mu(A&B|C) = mu(A|C)mu(B|C) holds identically for those, for every
+    # measure: nothing to evaluate, but the coverage is real and counted,
+    # and a cap that cuts either algebra short marks the verdict capped.
+    size_a, trunc_a = _algebra_size(space, ra, cap)
+    size_b, trunc_b = _algebra_size(space, rb, cap)
+    n_screeners = space.q ** _popcount(screener_region)
+    return _FamilyOutcome(screeners=n_screeners, event_pairs=size_a * size_b,
+                          tests=size_a * size_b * n_screeners, truncated=trunc_a or trunc_b)
+
+
+class _SweepPlan:
+    """The measure-independent part of a sweep: every spacelike pair in sweep
+    order and, per family ("p1" or "p2"), its `_Family`, built on first use.
+    It holds no reference to its space, so a cached plan does not keep the
+    space alive."""
+
+    def __init__(self, causet: Causet, dom: DomMap, caps: Caps):
+        finite = cache(causet.is_causally_finite)
+        pairs = []
+        for ra, rb in causet.spacelike_pairs():
+            trivial = ra == 0 or rb == 0
+            skipped = (
+                not trivial
+                and (_popcount(ra) > caps.region_size or _popcount(rb) > caps.region_size)
+            )
+            pairs.append(_PlanPair(ra, rb, finite(ra) and finite(rb), trivial, skipped))
+        self.pairs = tuple(pairs)
+        self._dom = dom
+        self._cap = caps.algebra
+        self._families: dict[str, _Family] = {}
+
+    def family(self, space: HistorySpace, fam: str) -> _Family:
+        got = self._families.get(fam)
+        if got is None:
+            causet, dom, cap = space.causet, self._dom, self._cap
+            past = causet.mutual_past if fam == "p1" else causet.truncated_joint_past
+            # None for a skipped pair, the whole outcome of a pair with an
+            # empty side, the family plan of any other
+            entries = [
+                None if p.skipped
+                else _trivial_outcome(space, p.ra, p.rb, past(p.ra, p.rb), cap) if p.trivial
+                else _family_plan(space, dom, p.ra, p.rb, past(p.ra, p.rb), cap)
+                for p in self.pairs
+            ]
+            got = self._families[fam] = _Family(
+                tuple((p, e) for p, e in zip(self.pairs, entries) if isinstance(e, _FamilyPlan)),
+                _totals(self.pairs, entries),
+            )
+        return got
+
+
+def _totals(
+    pairs: Sequence[_PlanPair], entries: Sequence[_FamilyOutcome | _FamilyPlan | None]
+) -> tuple[tuple[tuple[tuple[str, int], ...], bool], ...]:
+    """The measure-independent counts and capped flag of a verdict over all
+    pairs, then over the causally finite pairs only."""
+    totals = []
+    for finite_only in (False, True):
+        counts = dict.fromkeys(_COUNT_KEYS, 0)
+        capped = False
+        for pair, entry in zip(pairs, entries):
+            if finite_only and not pair.finite:
+                continue
+            if entry is None:
+                counts["region_pairs_skipped"] += 1
+                capped = True
+                continue
+            counts["region_pairs"] += 1
+            counts["event_pairs"] += entry.event_pairs
+            capped = capped or entry.truncated
+            if isinstance(entry, _FamilyPlan):
+                counts["region_pairs_nonempty"] += 1
+                counts["screeners"] += len(entry.screeners)
+            else:
+                counts["screeners"] += entry.screeners
+                counts["screening_tests"] += entry.tests
+        totals.append((tuple(counts.items()), capped))
+    return tuple(totals)
+
+
+# Plans of canonical doms, per history space and caps; an entry goes with its
+# space. Explicit dom maps are plain objects whose contents may differ from
+# call to call, so their plans are built afresh and never cached.
+_PLANS: WeakKeyDictionary[HistorySpace, dict[Caps, _SweepPlan]] = WeakKeyDictionary()
+
+
+def _plan(space: HistorySpace, dom: DomMap, caps: Caps) -> _SweepPlan:
+    if not dom.is_canonical:
+        return _SweepPlan(space.causet, dom, caps)
+    plans = _PLANS.setdefault(space, {})
+    plan = plans.get(caps)
+    if plan is None:
+        plan = plans[caps] = _SweepPlan(space.causet, dom, caps)
+    return plan
+
+
+def _evaluate(
+    measure: MeasureTable, ra: Region, rb: Region, plan: _FamilyPlan, first_only: bool
 ) -> _FamilyOutcome:
-    """Screening decision over Gamma(ra) x Gamma(rb) x Phi(screener_region).
+    """Screening decision over Gamma(ra) x Gamma(rb) x Phi(screener region),
+    on the events and screeners of `plan`.
 
     Canonical doms: every event of Gamma(R) is a union of Phi(R) cells, and
     mu(A&B&C) mu(C) - mu(A&C) mu(B&C) is bilinear in the cell indicators of
     A and B, so C fails on some event pair iff it fails on a cell pair inside
     it; `_decision_events` keeps the decision exact under any algebra cap.
-    Explicit doms: the direct loop over Gamma, up to each screener's first
-    failure. The counts are those of the full sweep either way.
+    Explicit doms (`first_only`): the direct loop over Gamma, up to each
+    screener's first failure. The counts are those of the full sweep either
+    way.
     """
-    space, measure, dom = model.space, model.measure, model.dom
-    out = _FamilyOutcome()
-    events_a, take_a, trunc_a = _decision_events(space, dom, ra, cap)
-    events_b, take_b, trunc_b = _decision_events(space, dom, rb, cap)
-    out.truncated = trunc_a or trunc_b
-    out.event_pairs = take_a * take_b
-    for cell_c in full_specifications(space, dom, screener_region):
-        out.screeners += 1
-        if measure.mass(cell_c) == 0:
-            out.zero_screeners.append(cell_c)
+    mass = measure.mass
+    failing: list[Failure] = []
+    zero: list[Event] = []
+    for c in plan.screeners:
+        if mass(c) == 0:
+            zero.append(c)
             continue
-        out.tests += out.event_pairs
-        found = _screen_failures(measure, events_a, events_b, cell_c)
-        pairs = tuple(found if dom.is_canonical else islice(found, 1))
+        found = _screen_failures(measure, plan.events_a, plan.events_b, c)
+        pairs = tuple(islice(found, 1) if first_only else found)
         if pairs:
-            out.failing.append((ra, rb, cell_c, pairs))
-    return out
+            failing.append((ra, rb, c, pairs))
+    screeners = len(plan.screeners)
+    return _FamilyOutcome(tuple(failing), screeners, tuple(zero), plan.event_pairs,
+                          plan.event_pairs * (screeners - len(zero)), plan.truncated)
+
+
+def _eval_family(
+    model: Model, ra: Region, rb: Region, screener_region: Region, cap: int
+) -> _FamilyOutcome:
+    """One family's decision on one pair, planned and evaluated at once."""
+    plan = _family_plan(model.space, model.dom, ra, rb, screener_region, cap)
+    return _evaluate(model.measure, ra, rb, plan, not model.dom.is_canonical)
 
 
 def _witnesses(
@@ -344,83 +510,45 @@ def _witnesses(
             yield Witness(principle, ra, rb, a, b, c, *screening_sides(measure, a, b, c))
 
 
-def _trivial_outcome(model: Model, ra: Region, rb: Region, screener_region: Region, cap: int) -> _FamilyOutcome:
-    # A pair with an empty side only ranges over events in {empty, Omega},
-    # and mu(A&B|C) = mu(A|C)mu(B|C) holds identically for those, for every
-    # measure: nothing to evaluate, but the coverage is real and counted,
-    # and a cap that cuts either algebra short marks the verdict capped.
-    size_a, trunc_a = _algebra_size(model.space, ra, cap)
-    size_b, trunc_b = _algebra_size(model.space, rb, cap)
-    n_screeners = model.space.q ** _popcount(screener_region)
-    return _FamilyOutcome(screeners=n_screeners, event_pairs=size_a * size_b,
-                          tests=size_a * size_b * n_screeners, truncated=trunc_a or trunc_b)
-
-
-def _sweep(model: Model, caps: Caps, families: tuple[str, ...]) -> list[_PairOutcome]:
-    causet = model.causet
-    finite = cache(causet.is_causally_finite)
-    outcomes: list[_PairOutcome] = []
-    for ra, rb in causet.spacelike_pairs():
-        both_finite = finite(ra) and finite(rb)
-        trivial = ra == 0 or rb == 0
-        skipped = (
-            not trivial
-            and (_popcount(ra) > caps.region_size or _popcount(rb) > caps.region_size)
-        )
-        pair = _PairOutcome(ra, rb, both_finite, trivial, skipped)
-        if not skipped:
-            for fam in families:
-                region = (
-                    causet.mutual_past(ra, rb)
-                    if fam == "p1"
-                    else causet.truncated_joint_past(ra, rb)
-                )
-                if trivial:
-                    pair.families[fam] = _trivial_outcome(model, ra, rb, region, caps.algebra)
-                else:
-                    pair.families[fam] = _eval_family(model, ra, rb, region, caps.algebra)
-        outcomes.append(pair)
-    return outcomes
+def _sweep(
+    model: Model, caps: Caps, families: tuple[str, ...]
+) -> dict[str, tuple[_Family, list[_FamilyOutcome]]]:
+    """Per family, the model's plan of it and the outcome of the model's
+    measure on each of its nonempty pairs."""
+    space, measure = model.space, model.measure
+    plan = _plan(space, model.dom, caps)
+    first_only = not model.dom.is_canonical
+    swept = {}
+    for fam in families:
+        family = plan.family(space, fam)
+        swept[fam] = family, [
+            _evaluate(measure, pair.ra, pair.rb, entry, first_only)
+            for pair, entry in family.nonempty
+        ]
+    return swept
 
 
 def _assemble(
     model: Model,
     principle: str,
-    outcomes: list[_PairOutcome],
+    family: _Family,
+    outcomes: list[_FamilyOutcome],
     zero_mode: str,
     algebra_cap: int,
     replayed: Replayed | None = None,
 ) -> Verdict:
-    fam = _FAMILY[principle]
+    """One principle's verdict: its family's totals, plus what the measure
+    decided on each nonempty pair."""
     finite_only = _FINITE_ONLY[principle]
-    counts = {
-        "region_pairs": 0,
-        "region_pairs_nonempty": 0,
-        "region_pairs_skipped": 0,
-        "event_pairs": 0,
-        "screeners": 0,
-        "screening_tests": 0,
-        "zero_screeners": 0,
-    }
+    items, capped = family.totals[finite_only]
+    counts = dict(items)
     failures: list[Failure] = []
     zero_cells: list[tuple[Region, Region, Event]] = []
-    capped = False
-    for pair in outcomes:
+    for (pair, _), result in zip(family.nonempty, outcomes):
         if finite_only and not pair.finite:
             continue
-        if pair.skipped:
-            counts["region_pairs_skipped"] += 1
-            capped = True
-            continue
-        result = pair.families[fam]
-        counts["region_pairs"] += 1
-        if not pair.trivial:
-            counts["region_pairs_nonempty"] += 1
-        counts["event_pairs"] += result.event_pairs
-        counts["screeners"] += result.screeners
         counts["screening_tests"] += result.tests
         counts["zero_screeners"] += len(result.zero_screeners)
-        capped = capped or result.truncated
         failures.extend(result.failing)
         if zero_mode == "strict":
             zero_cells.extend((pair.ra, pair.rb, c) for c in result.zero_screeners)
@@ -452,14 +580,16 @@ def check_principle(
     algebras of the two regions, then over all full specifications of the
     mutual (SO1) or truncated joint (SO2) past. Pairs with an empty side
     cannot fail for any measure and are counted without evaluation. The
-    verdict is marked capped whenever limits truncated the sweep.
+    verdict is marked capped whenever limits truncated the sweep. Only the
+    principle's own screener family is planned.
     """
     which = which.lower()
     if which not in PRINCIPLES:
         raise ValueError(f"unknown principle {which!r}")
     caps = caps or Caps()
-    outcomes = _sweep(model, caps, (_FAMILY[which],))
-    return _assemble(model, which, outcomes, zero_mode, caps.algebra)
+    fam = _FAMILY[which]
+    family, outcomes = _sweep(model, caps, (fam,))[fam]
+    return _assemble(model, which, family, outcomes, zero_mode, caps.algebra)
 
 
 @dataclass(frozen=True)
@@ -491,24 +621,28 @@ def implication_matrix(
     """Run all four checks off a single sweep and derive the material
     implication table.
 
-    The two subset implications (SOk => FIN-SOk) are asserted as internal
-    consistency; their failure is an implementation bug and aborts. Every
-    failing cell triple (canonical doms) or first failing event triple per
-    screener (explicit doms) is replayed before the matrix is returned: its
-    four masses are recomputed as integers from the history masses, without
-    the partial-sum tables, must equal the table masses, and must fail the
-    screening identity (`replay_screen_failure`). The verdicts share these
-    records (SOk and FIN-SOk read the same sweep), so each distinct
+    The sweep evaluates the model's measure on the plan of its space, dom
+    and caps (both families), which every canonical-dom model on that space
+    shares. The two subset implications (SOk => FIN-SOk) are asserted as
+    internal consistency; their failure is an implementation bug and
+    aborts. Every failing cell triple (canonical doms) or first failing
+    event triple per screener (explicit doms) is replayed before the matrix
+    is returned, the pairs of one screener together
+    (`replay_screen_failures`): their masses are recomputed as integers from
+    the history masses, without the partial-sum tables (C and each distinct
+    A&C and B&C once, A&B&C per pair), must equal the table masses, and must
+    fail the screening identity. The verdicts share these records (SOk and
+    FIN-SOk read the same sweep), so each distinct
     (region_a, region_b, C, A, B) is replayed once, and no `Fraction` is
     built for it. The verdicts' witnesses are listed lazily with their
-    `Fraction` sides, and each one outside those records is replayed the same
-    way as it is listed.
+    `Fraction` sides, and each one outside those records is replayed
+    (`replay_screen_failure`) as it is listed.
     """
     caps = caps or Caps()
-    outcomes = _sweep(model, caps, ("p1", "p2"))
+    swept = _sweep(model, caps, ("p1", "p2"))
     replayed: Replayed = set()
     verdicts = {
-        p: _assemble(model, p, outcomes, zero_mode, caps.algebra, replayed)
+        p: _assemble(model, p, *swept[_FAMILY[p]], zero_mode, caps.algebra, replayed)
         for p in PRINCIPLES
     }
     for strong, weak in (("so1", "fin-so1"), ("so2", "fin-so2")):
@@ -518,11 +652,11 @@ def implication_matrix(
                 "is a subset of the infinite sweep, so this cannot happen"
             )
     for verdict in verdicts.values():
-        for ra, rb, c, pairs in verdict.failures:
-            for a, b in pairs:
-                if (ra, rb, c, a, b) not in replayed:
-                    replayed.add((ra, rb, c, a, b))
-                    replay_screen_failure(model.measure, a, b, c)
+        for ra, rb, c, failing in verdict.failures:
+            fresh = [(a, b) for a, b in failing if (ra, rb, c, a, b) not in replayed]
+            if fresh:
+                replayed.update((ra, rb, c, a, b) for a, b in fresh)
+                replay_screen_failures(model.measure, c, fresh)
     implications = {}
     for p in PRINCIPLES:
         for q in PRINCIPLES:

@@ -233,13 +233,19 @@ def test_matrix_replays_each_distinct_failing_triple_once(monkeypatch):
     import causetlab.principles as principles
 
     calls = []
-    real = principles.replay_screen_failure
+    grouped, single = principles.replay_screen_failures, principles.replay_screen_failure
 
-    def counted(measure, a, b, c):
+    def counted_grouped(measure, c, pairs):
+        pairs = list(pairs)
+        calls.extend((c, a, b) for a, b in pairs)
+        return grouped(measure, c, pairs)
+
+    def counted_single(measure, a, b, c):
         calls.append((c, a, b))
-        return real(measure, a, b, c)
+        return single(measure, a, b, c)
 
-    monkeypatch.setattr(principles, "replay_screen_failure", counted)
+    monkeypatch.setattr(principles, "replay_screen_failures", counted_grouped)
+    monkeypatch.setattr(principles, "replay_screen_failure", counted_single)
     matrix = implication_matrix(_v_copy_model())
     assert matrix.bits == "0000"
     records = [
@@ -259,17 +265,128 @@ def test_matrix_replays_each_distinct_failing_triple_once(monkeypatch):
 def test_matrix_rejects_a_tampered_recorded_pair(monkeypatch):
     import causetlab.principles as principles
 
-    real = principles._eval_family
+    real = principles._evaluate
 
     def tampered(*args):
         out = real(*args)
         # the empty event pair screens off under every screener
-        out.failing = [(ra, rb, c, ((0, 0),) + pairs[1:]) for ra, rb, c, pairs in out.failing]
-        return out
+        failing = tuple((ra, rb, c, ((0, 0),) + pairs[1:]) for ra, rb, c, pairs in out.failing)
+        return out._replace(failing=failing)
 
-    monkeypatch.setattr(principles, "_eval_family", tampered)
+    monkeypatch.setattr(principles, "_evaluate", tampered)
     with pytest.raises(InternalConsistencyError, match="screens off on replay"):
         implication_matrix(_v_copy_model())
+
+
+def test_matrix_replay_checks_a_mass_that_several_recorded_pairs_share(monkeypatch):
+    # the grouped replay sums each distinct A&C once; a table mass that is
+    # wrong for one A&C under one screener must still be caught
+    import causetlab.principles as principles
+
+    real = principles.replay_screen_failures
+    shared = []
+
+    def tamper_then_replay(measure, c, pairs):
+        pairs = list(pairs)
+        sides = [a for a, _ in pairs]
+        repeated = [a for a in sides if sides.count(a) > 1]
+        if repeated and not shared:
+            target = repeated[0] & c
+            shared.append(target)
+            table_mass = measure.mass
+            measure.mass = lambda e: table_mass(e) + (e == target)
+        return real(measure, c, pairs)
+
+    monkeypatch.setattr(principles, "replay_screen_failures", tamper_then_replay)
+    with pytest.raises(InternalConsistencyError, match="differ from the history masses"):
+        implication_matrix(_v_copy_model())
+    assert shared
+
+
+# -- the sweep plan -------------------------------------------------------------------
+
+# p below a and b; c unrelated to all three
+_V4 = validate_causet(["p", "a", "b", "c"], [("p", "a"), ("p", "b")])
+
+
+def _six_measures(space):
+    from causetlab.hunter import sample_measures
+
+    return sample_measures(space, 5, "plan", 3) + [MeasureTable.perfectly_correlated(space)]
+
+
+def test_one_sweep_plan_serves_every_measure_of_a_space(monkeypatch):
+    import causetlab.principles as principles
+
+    calls = []
+    real = principles._decision_events
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(principles, "_decision_events", counted)
+    space = HistorySpace(_V4, 2)
+    for measure in _six_measures(space):
+        implication_matrix(Model.build(space, measure))
+    nonempty = sum(1 for ra, rb in _V4.spacelike_pairs(max_size=3) if ra and rb)
+    # both sides of every nonempty pair, once for p1 and once for p2
+    assert len(calls) == 2 * 2 * nonempty
+
+
+def test_measures_sharing_a_plan_get_the_verdicts_of_a_fresh_space():
+    space = HistorySpace(_V4, 2)
+    models = [Model.build(space, m) for m in _six_measures(space)]
+    shared = [implication_matrix(m).to_json(m) for m in models]
+    fresh_space = HistorySpace(_V4, 2)
+    fresh = [Model.build(fresh_space, MeasureTable(fresh_space, m.measure.weights)) for m in models]
+    alone = [implication_matrix(m).to_json(m) for m in reversed(fresh)][::-1]
+    assert shared == alone
+    assert {json["bits"] for json in shared} != {"1111"}  # some measure fails somewhere
+
+
+def test_a_single_principle_plans_only_its_own_family(monkeypatch):
+    from causetlab import Causet
+
+    def no_p2(*args):
+        raise AssertionError("the p2 screeners were planned")
+
+    space = HistorySpace(_V4, 2)
+    monkeypatch.setattr(Causet, "truncated_joint_past", no_p2)
+    for principle in ("so1", "fin-so1"):
+        assert check_principle(Model.build(space, MeasureTable.uniform(space)), principle).satisfied
+
+
+def test_a_sweep_plan_dies_with_its_space():
+    import gc
+    import weakref
+
+    import causetlab.principles as principles
+
+    space = HistorySpace(_V4, 2)
+    implication_matrix(Model.build(space, MeasureTable.uniform(space)))
+    plan = weakref.ref(principles._PLANS[space][Caps()])
+    del space
+    gc.collect()
+    assert plan() is None
+
+
+def test_explicit_dom_plans_are_never_cached(anti2_space, perf, monkeypatch):
+    import causetlab.principles as principles
+
+    mapping = {e: anti2_space.canonical_dom(e) for e in range(anti2_space.omega + 1)}
+    model = Model.build(anti2_space, perf, DomMap.explicit(mapping))
+    built = []
+    real = principles._SweepPlan
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(principles, "_SweepPlan", counted)
+    assert implication_matrix(model).bits == implication_matrix(model).bits
+    assert len(built) == 2
+    assert anti2_space not in principles._PLANS
 
 
 def test_diamond_uniform_matrix_all_satisfied(diamond):
