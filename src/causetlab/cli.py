@@ -223,7 +223,9 @@ def cmd_dom_axioms(args) -> int:
     measure_from_data(space, data.get("measure"))  # a malformed file is still refused
     universe = None
     if args.events:
-        universe = sample_events(space, args.events, args.seed)
+        # an explicit map is defined on its own universe only
+        defined = None if dom.is_canonical else list(dom.events(space))
+        universe = sample_events(space, args.events, args.seed, defined)
     report = check_dom_axioms(space, dom, args.family_size, universe)
     _emit({
         "conventions": _conventions(),

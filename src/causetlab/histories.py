@@ -323,8 +323,16 @@ def compose_full_specs(
     return out
 
 
-def sample_events(space: HistorySpace, k: int, seed: int | str) -> list[Event]:
-    """k pseudo-random events, deterministic in the seed (duplicates kept off)."""
+def sample_events(
+    space: HistorySpace, k: int, seed: int | str, universe: Sequence[Event] | None = None
+) -> list[Event]:
+    """k distinct pseudo-random events, deterministic in the seed: drawn from
+    `universe` when given (the events an explicit dom map defines), otherwise
+    from all 2^size events of the space."""
+    if universe is not None:
+        if not 0 <= k <= len(universe):
+            raise LimitError(f"cannot sample {k} distinct events from a universe of {len(universe)} events")
+        return random.Random(f"events:{seed}").sample(universe, k)
     if not 0 <= k <= space.omega + 1:
         raise LimitError(f"cannot sample {k} distinct events from a space of 2^{space.size} events")
     rng = random.Random(f"events:{seed}")

@@ -104,6 +104,10 @@ def measure_from_data(space: HistorySpace, spec: Any) -> MeasureTable:
     if spec in (None, "uniform"):
         return MeasureTable.uniform(space)
     if isinstance(spec, dict) and isinstance(spec.get("weights"), dict):
+        for key, value in spec["weights"].items():
+            # JSON true and false load as bools, which Fraction reads as 1 and 0
+            if isinstance(value, bool):
+                raise ModelFileError(f"weight of {key!r} must be a number or a \"p/q\" string: {value!r}")
         try:
             weights = {k: Fraction(v) for k, v in spec["weights"].items()}
         except (TypeError, ValueError, ZeroDivisionError) as exc:

@@ -174,6 +174,32 @@ def test_unreadable_measure_exits_2(tmp_path, measure):
     assert proc.stderr.startswith("causetlab check: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("weight", [True, False])
+def test_boolean_weight_exits_2(tmp_path, weight):
+    # Fraction(True) is 1, so {"0": true, "1": false} would read as a valid measure
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps({
+        "causet": {"elements": ["x"], "relations": []},
+        "measure": {"weights": {"0": weight, "1": not weight}},
+    }))
+    proc = run_cli("check", "--model", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f'causetlab check: weight of \'0\' must be a number or a "p/q" string: {weight!r}\n'
+    )
+
+
+def test_numeric_and_string_weights_still_load(tmp_path):
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps({
+        "causet": {"elements": ["x"], "relations": []},
+        "measure": {"weights": {"0": 0.25, "1": "3/4"}},
+    }))
+    proc = run_cli("check", "--model", str(path))
+    assert proc.returncode == 0
+
+
 @pytest.mark.parametrize("cap", ["region=2.5", "region=true", "region", "algebra=x"])
 def test_non_integer_cap_exits_2(data_dir, cap):
     proc = run_cli("check", "--model", str(data_dir / "anti2_perf.json"), "--caps", cap)
@@ -552,6 +578,40 @@ def test_dom_axioms_checks_an_explicit_map_once(tmp_path, monkeypatch, capsys):
         '{"axiom":4,"checked":27,"passed":true,"witness":null}],'
         '"family_size":3,"passed":false,"stamped":null,"universe_size":16}}\n'
     )
+
+
+def _sub_algebra_map(tmp_path):
+    # a 2-element antichain whose map defines only the events x decides
+    space = HistorySpace(causet_from_data({"elements": ["x", "y"]}), 2)
+    defined = ((0, []), (space.cylinder({"x": 0}), ["x"]), (space.cylinder({"x": 1}), ["x"]),
+               (space.omega, []))
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps({
+        "causet": {"elements": ["x", "y"]},
+        "dom": {json.dumps(space.event_keys(e)): region for e, region in defined},
+    }))
+    return path
+
+
+def test_dom_axioms_samples_an_explicit_map_from_its_universe(tmp_path, capsys):
+    from causetlab.cli import main
+
+    path = _sub_algebra_map(tmp_path)
+    assert main(["dom-axioms", "--model", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["universe_size"] == 4
+    for events in ("3", "4"):
+        assert main(["dom-axioms", "--model", str(path), "--events", events, "--seed", "0"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and json.loads(out)["report"]["universe_size"] == int(events)
+
+
+def test_dom_axioms_refuses_more_samples_than_the_map_defines(tmp_path, capsys):
+    from causetlab.cli import main
+
+    assert main(["dom-axioms", "--model", str(_sub_algebra_map(tmp_path)), "--events", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "causetlab dom-axioms: cannot sample 5 distinct events from a universe of 4 events\n"
 
 
 def test_identical_invocations_identical_bytes(data_dir):
