@@ -274,12 +274,13 @@ class _FamilyPlan(NamedTuple):
     """What one family's decision on a region pair with nonempty sides ranges
     over, for every measure: the events of both sides (`_decision_events`),
     take_a * take_b, whether a cap cut either algebra short, and the
-    screeners Phi(past)."""
+    screeners Phi(past) of the screener region `past`."""
 
     events_a: tuple[Event, ...]
     events_b: tuple[Event, ...]
     event_pairs: int
     truncated: bool
+    past: Region
     screeners: tuple[Event, ...]
 
 
@@ -349,7 +350,7 @@ def _family_plan(
         screeners = space.phi_cells(screener_region)
     else:
         screeners = tuple(full_specifications(space, dom, screener_region))
-    return _FamilyPlan(events_a, events_b, take_a * take_b, trunc_a or trunc_b, screeners)
+    return _FamilyPlan(events_a, events_b, take_a * take_b, trunc_a or trunc_b, screener_region, screeners)
 
 
 def _trivial_outcome(space: HistorySpace, ra: Region, rb: Region, screener_region: Region, cap: int) -> _FamilyOutcome:
@@ -514,17 +515,24 @@ def _sweep(
     model: Model, caps: Caps, families: tuple[str, ...]
 ) -> dict[str, tuple[_Family, list[_FamilyOutcome]]]:
     """Per family, the model's plan of it and the outcome of the model's
-    measure on each of its nonempty pairs."""
+    measure on each of its nonempty pairs. Where a pair's mutual and
+    truncated joint pasts coincide, both families decide the same thing, so
+    it is evaluated once."""
     space, measure = model.space, model.measure
     plan = _plan(space, model.dom, caps)
     first_only = not model.dom.is_canonical
+    evaluated: dict[tuple[Region, Region, Region], _FamilyOutcome] = {}
     swept = {}
     for fam in families:
         family = plan.family(space, fam)
-        swept[fam] = family, [
-            _evaluate(measure, pair.ra, pair.rb, entry, first_only)
-            for pair, entry in family.nonempty
-        ]
+        outcomes = []
+        for pair, entry in family.nonempty:
+            key = (pair.ra, pair.rb, entry.past)
+            result = evaluated.get(key)
+            if result is None:
+                result = evaluated[key] = _evaluate(measure, pair.ra, pair.rb, entry, first_only)
+            outcomes.append(result)
+        swept[fam] = family, outcomes
     return swept
 
 

@@ -334,6 +334,25 @@ def test_one_sweep_plan_serves_every_measure_of_a_space(monkeypatch):
     assert len(calls) == 2 * 2 * nonempty
 
 
+def test_a_pair_whose_two_pasts_coincide_is_evaluated_once(monkeypatch):
+    import causetlab.principles as principles
+
+    calls = []
+    real = principles._evaluate
+
+    def counted(measure, ra, rb, *rest):
+        calls.append((ra, rb))
+        return real(measure, ra, rb, *rest)
+
+    monkeypatch.setattr(principles, "_evaluate", counted)
+    space = HistorySpace(_V4, 2)
+    implication_matrix(Model.build(space, MeasureTable.uniform(space)))
+    pairs = [(ra, rb) for ra, rb in _V4.spacelike_pairs(max_size=3) if ra and rb]
+    differ = [p for p in pairs if _V4.mutual_past(*p) != _V4.truncated_joint_past(*p)]
+    assert 0 < len(differ) < len(pairs)
+    assert sorted(calls) == sorted(pairs + differ)
+
+
 def test_measures_sharing_a_plan_get_the_verdicts_of_a_fresh_space():
     space = HistorySpace(_V4, 2)
     models = [Model.build(space, m) for m in _six_measures(space)]
