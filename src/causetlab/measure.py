@@ -23,9 +23,10 @@ conditional probabilities).
 
 Replays are independent of the partial-sum tables: `direct_mass` sums the
 history masses over an event's bits in one linear pass, and
-`replay_screen_failures` re-decides the recorded failing pairs of one
-screener on those integers, checking them against the table masses the
-decision used.
+`replay_screen_failures` re-decides one screener on those integers, its
+recorded failing pairs or its zero mass, checking them against the table
+masses the decision used. The principle checkers replay every decision
+where it is made.
 
 Besides evaluation this module holds the Reichenbachian common cause
 verdicts: the single-event common cause (screening on C and its complement
@@ -44,8 +45,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -71,7 +73,8 @@ class MeasureTable:
     k < 8 histories gets 2^k entries. That is 32 ints per history, built
     once per measure; `HistorySpace` caps spaces at 2^20 histories.
     `masses` keeps the integer mass of each history, which `direct_mass`
-    sums without the tables.
+    sums without the tables. The sampled constructors compute the masses and
+    D directly; a weight's `Fraction` is built only where it is read.
     """
 
     def __init__(self, space: HistorySpace, weights: Sequence[Fraction]):
@@ -84,17 +87,34 @@ class MeasureTable:
         nums = [w.numerator * (d // w.denominator) for w in weights]
         if sum(nums) != d:
             raise ValueError(f"weights sum to {Fraction(sum(nums), d)}, not 1")
+        self._set_masses(space, nums, d)
+
+    def _set_masses(self, space: HistorySpace, nums: Sequence[int], d: int) -> None:
+        # nums are the weights times D, the lcm of their denominators
         self.space = space
-        self.weights = weights
         self.denominator = d
         self.masses = tuple(nums)
         self._tables = tuple(_partial_sums(nums[i:i + 8]) for i in range(0, len(nums), 8))
+
+    @classmethod
+    def _from_masses(cls, space: HistorySpace, nums: Sequence[int]) -> "MeasureTable":
+        """The table of weights nums[h] / sum(nums), reduced to lowest terms
+        as integers."""
+        g = gcd(*nums)
+        table = cls.__new__(cls)
+        table._set_masses(space, [k // g for k in nums], sum(nums) // g)
+        return table
+
+    @cached_property
+    def weights(self) -> tuple[Fraction, ...]:
+        d = self.denominator
+        return tuple(Fraction(k, d) for k in self.masses)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def uniform(cls, space: HistorySpace) -> "MeasureTable":
-        return cls(space, [Fraction(1, space.size)] * space.size)
+        return cls._from_masses(space, [1] * space.size)
 
     @classmethod
     def from_weights(cls, space: HistorySpace, table: Mapping[str, Fraction | str]) -> "MeasureTable":
@@ -112,18 +132,16 @@ class MeasureTable:
         nums = [rng.randint(0, denominator_bound) for _ in range(space.size)]
         if not any(nums):
             nums[0] = 1
-        total = sum(nums)
-        return cls(space, [Fraction(k, total) for k in nums])
+        return cls._from_masses(space, nums)
 
     @classmethod
     def perfectly_correlated(cls, space: HistorySpace) -> "MeasureTable":
         """Uniform over the constant histories: every element shows the same
         value, so spacelike-separated values are perfectly correlated."""
-        weights = [ZERO] * space.size
+        nums = [0] * space.size
         for v in range(space.q):
-            h = sum(v * space.q ** i for i in range(space.causet.n))
-            weights[h] = Fraction(1, space.q)
-        return cls(space, weights)
+            nums[sum(v * space.q ** i for i in range(space.causet.n))] = 1
+        return cls._from_masses(space, nums)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -153,10 +171,11 @@ class MeasureTable:
     def weight_strings(self) -> dict[str, str]:
         """Nonzero weights as "p/q" strings keyed by history string (for
         fingerprints and model files)."""
+        d = self.denominator
         return {
-            self.space.history_key(h): str(w)
-            for h, w in enumerate(self.weights)
-            if w
+            self.space.history_key(h): str(Fraction(k, d))
+            for h, k in enumerate(self.masses)
+            if k
         }
 
 
@@ -207,8 +226,8 @@ def _screen_failures(
 
 
 def replay_screen_failures(m: MeasureTable, c: Event, pairs: Sequence[tuple[Event, Event]]) -> None:
-    """Re-decide that C fails to screen off each (A, B) of `pairs`, on direct
-    history masses.
+    """Re-decide, on direct history masses, that C fails to screen off each
+    (A, B) of `pairs`, or, given no pairs, that mu(C) = 0.
 
     For each pair, the four masses of the identity of `screens_off` are
     summed without the partial-sum tables and must equal the table masses
@@ -223,6 +242,10 @@ def replay_screen_failures(m: MeasureTable, c: Event, pairs: Sequence[tuple[Even
         for e in {c, *(a & c for a, _ in pairs), *(b & c for _, b in pairs)}
     }
     mc, table_c = known[c]
+    if not pairs and mc:
+        raise InternalConsistencyError(
+            f"table masses ({table_c},) differ from the history masses ({mc},) on replay"
+        )
     for a, b in pairs:
         abc = a & b & c
         (mac, table_ac), (mbc, table_bc) = known[a & c], known[b & c]
@@ -234,11 +257,6 @@ def replay_screen_failures(m: MeasureTable, c: Event, pairs: Sequence[tuple[Even
             )
         if mc == 0 or direct[0] * mc == mac * mbc:
             raise InternalConsistencyError("a recorded failing pair screens off on replay")
-
-
-def replay_screen_failure(m: MeasureTable, a: Event, b: Event, c: Event) -> None:
-    """`replay_screen_failures` for the one pair (A, B)."""
-    replay_screen_failures(m, c, ((a, b),))
 
 
 def screening_sides(m: MeasureTable, a: Event, b: Event, c: Event) -> tuple[Fraction, Fraction]:

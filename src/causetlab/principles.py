@@ -22,21 +22,21 @@ over (`_decision_events`), the screeners and the verdict counts they fix.
 It depends only on the history space, the dom and the caps, so plans of
 canonical doms are cached per space and caps (weakly: a plan goes with its
 space) and every measure on a space shares one; explicit dom maps are
-planned afresh on every call. A plan is immutable, so no measure's outcome
-reaches another's. The evaluation (`_evaluate`) only does mass work:
-canonical doms are decided on pairs of Phi cells, explicit doms event by
-event, both through the screening kernel `measure._screen_failures`. A
-verdict keeps only the failing pairs and lists its witnesses, every failing
-event triple of the sweep, lazily from them. Replication steps 1-2 are
-decided on the same events and list their failures only for a failing
-screener block.
+planned afresh on every call. A plan also keeps, per region, the capped
+Gamma that witnesses are listed over. No measure's outcome reaches a plan.
+The evaluation (`_evaluate`) only does mass work: canonical doms are decided
+on pairs of Phi cells, explicit doms event by event, both through the
+screening kernel `measure._screen_failures`. A verdict keeps only the
+failing pairs and lists its witnesses, every failing event triple of the
+sweep, lazily from them. Replication steps 1-2 are decided on the same
+events and list their failures only for a failing screener block.
 
 Verdicts are deterministic: identical model and caps give byte-identical
-reports. The matrix checker replays every recorded failing pair, screener by
-screener (`measure.replay_screen_failures`), and every witness it lists
-outside those records (`measure.replay_screen_failure`), on integer history
-masses summed without the partial-sum tables; `Fraction` sides are built
-only for the witnesses it lists.
+reports. Every decision is replayed where it is made (`_replayed`): each
+failing screener's recorded pairs together, and each zero-mass screener,
+on integer history masses summed without the partial-sum tables
+(`measure.replay_screen_failures`), and so is every listed witness outside
+those records. `Fraction` sides are built only for listed witnesses.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ from .histories import (
 from .measure import (
     MeasureTable,
     _screen_failures,
-    replay_screen_failure,
     replay_screen_failures,
     screening_sides,
     screens_off,
@@ -209,8 +208,6 @@ def replay_witness(model: Model, w: Witness) -> tuple[Fraction, Fraction]:
 
 
 Failure = tuple[Region, Region, Event, tuple[tuple[Event, Event], ...]]
-# (region_a, region_b, screener, A, B) of the failing triples a matrix replayed
-Replayed = set[tuple[Region, Region, Event, Event, Event]]
 
 
 @dataclass(frozen=True)
@@ -259,15 +256,11 @@ class Verdict:
 
 
 class _FamilyOutcome(NamedTuple):
-    """One family's decision on one region pair: the failing screeners, the
-    zero-mass ones, and the counts of the full sweep."""
+    """What a measure decided on one region pair of a family: the failing
+    screeners with their recorded pairs, and the zero-mass screeners."""
 
     failing: tuple[Failure, ...] = ()
-    screeners: int = 0
     zero_screeners: tuple[Event, ...] = ()
-    event_pairs: int = 0
-    tests: int = 0
-    truncated: bool = False
 
 
 class _FamilyPlan(NamedTuple):
@@ -282,6 +275,15 @@ class _FamilyPlan(NamedTuple):
     truncated: bool
     past: Region
     screeners: tuple[Event, ...]
+
+
+class _TrivialPlan(NamedTuple):
+    """A region pair with an empty side, which no measure can fail: what its
+    every screening test ranges over, and whether a cap cut an algebra."""
+
+    event_pairs: int
+    screeners: int
+    truncated: bool
 
 
 class _PlanPair(NamedTuple):
@@ -353,49 +355,58 @@ def _family_plan(
     return _FamilyPlan(events_a, events_b, take_a * take_b, trunc_a or trunc_b, screener_region, screeners)
 
 
-def _trivial_outcome(space: HistorySpace, ra: Region, rb: Region, screener_region: Region, cap: int) -> _FamilyOutcome:
+def _trivial_plan(space: HistorySpace, ra: Region, rb: Region, screener_region: Region, cap: int) -> _TrivialPlan:
     # A pair with an empty side only ranges over events in {empty, Omega},
     # and mu(A&B|C) = mu(A|C)mu(B|C) holds identically for those, for every
     # measure: nothing to evaluate, but the coverage is real and counted,
     # and a cap that cuts either algebra short marks the verdict capped.
     size_a, trunc_a = _algebra_size(space, ra, cap)
     size_b, trunc_b = _algebra_size(space, rb, cap)
-    n_screeners = space.q ** _popcount(screener_region)
-    return _FamilyOutcome(screeners=n_screeners, event_pairs=size_a * size_b,
-                          tests=size_a * size_b * n_screeners, truncated=trunc_a or trunc_b)
+    return _TrivialPlan(size_a * size_b, space.q ** _popcount(screener_region), trunc_a or trunc_b)
 
 
 class _SweepPlan:
     """The measure-independent part of a sweep: every spacelike pair in sweep
-    order and, per family ("p1" or "p2"), its `_Family`, built on first use.
+    order and, per family ("p1" or "p2"), its `_Family`, both built on first
+    use, and the capped Gamma list of each region something is listed over.
     It holds no reference to its space, so a cached plan does not keep the
     space alive."""
 
     def __init__(self, causet: Causet, dom: DomMap, caps: Caps):
+        self._causet = causet
+        self._dom = dom
+        self._caps = caps
+        self._families: dict[str, _Family] = {}
+        self._gamma: dict[Region, list[Event]] = {}
+
+    @cached_property
+    def pairs(self) -> tuple[_PlanPair, ...]:
+        causet, size = self._causet, self._caps.region_size
         finite = cache(causet.is_causally_finite)
         pairs = []
         for ra, rb in causet.spacelike_pairs():
             trivial = ra == 0 or rb == 0
-            skipped = (
-                not trivial
-                and (_popcount(ra) > caps.region_size or _popcount(rb) > caps.region_size)
-            )
+            skipped = not trivial and (_popcount(ra) > size or _popcount(rb) > size)
             pairs.append(_PlanPair(ra, rb, finite(ra) and finite(rb), trivial, skipped))
-        self.pairs = tuple(pairs)
-        self._dom = dom
-        self._cap = caps.algebra
-        self._families: dict[str, _Family] = {}
+        return tuple(pairs)
+
+    def gamma(self, space: HistorySpace, region: Region) -> list[Event]:
+        """The capped Gamma(region), in the sweep's order."""
+        got = self._gamma.get(region)
+        if got is None:
+            got = self._gamma[region] = gamma_capped(space, self._dom, region, self._caps.algebra)[0]
+        return got
 
     def family(self, space: HistorySpace, fam: str) -> _Family:
         got = self._families.get(fam)
         if got is None:
-            causet, dom, cap = space.causet, self._dom, self._cap
+            causet, dom, cap = self._causet, self._dom, self._caps.algebra
             past = causet.mutual_past if fam == "p1" else causet.truncated_joint_past
-            # None for a skipped pair, the whole outcome of a pair with an
+            # None for a skipped pair, the trivial plan of a pair with an
             # empty side, the family plan of any other
             entries = [
                 None if p.skipped
-                else _trivial_outcome(space, p.ra, p.rb, past(p.ra, p.rb), cap) if p.trivial
+                else _trivial_plan(space, p.ra, p.rb, past(p.ra, p.rb), cap) if p.trivial
                 else _family_plan(space, dom, p.ra, p.rb, past(p.ra, p.rb), cap)
                 for p in self.pairs
             ]
@@ -407,7 +418,7 @@ class _SweepPlan:
 
 
 def _totals(
-    pairs: Sequence[_PlanPair], entries: Sequence[_FamilyOutcome | _FamilyPlan | None]
+    pairs: Sequence[_PlanPair], entries: Sequence[_TrivialPlan | _FamilyPlan | None]
 ) -> tuple[tuple[tuple[tuple[str, int], ...], bool], ...]:
     """The measure-independent counts and capped flag of a verdict over all
     pairs, then over the causally finite pairs only."""
@@ -430,7 +441,7 @@ def _totals(
                 counts["screeners"] += len(entry.screeners)
             else:
                 counts["screeners"] += entry.screeners
-                counts["screening_tests"] += entry.tests
+                counts["screening_tests"] += entry.event_pairs * entry.screeners
         totals.append((tuple(counts.items()), capped))
     return tuple(totals)
 
@@ -462,8 +473,7 @@ def _evaluate(
     A and B, so C fails on some event pair iff it fails on a cell pair inside
     it; `_decision_events` keeps the decision exact under any algebra cap.
     Explicit doms (`first_only`): the direct loop over Gamma, up to each
-    screener's first failure. The counts are those of the full sweep either
-    way.
+    screener's first failure.
     """
     mass = measure.mass
     failing: list[Failure] = []
@@ -476,87 +486,89 @@ def _evaluate(
         pairs = tuple(islice(found, 1) if first_only else found)
         if pairs:
             failing.append((ra, rb, c, pairs))
-    screeners = len(plan.screeners)
-    return _FamilyOutcome(tuple(failing), screeners, tuple(zero), plan.event_pairs,
-                          plan.event_pairs * (screeners - len(zero)), plan.truncated)
+    return _FamilyOutcome(tuple(failing), tuple(zero))
+
+
+def _replayed(measure: MeasureTable, outcome: _FamilyOutcome) -> _FamilyOutcome:
+    """`outcome` once its decisions hold on direct history masses
+    (`replay_screen_failures`): each failing screener's recorded pairs,
+    together, and the zero mass of each zero screener."""
+    for _, _, c, pairs in outcome.failing:
+        replay_screen_failures(measure, c, pairs)
+    for c in outcome.zero_screeners:
+        replay_screen_failures(measure, c, ())
+    return outcome
 
 
 def _eval_family(
     model: Model, ra: Region, rb: Region, screener_region: Region, cap: int
-) -> _FamilyOutcome:
-    """One family's decision on one pair, planned and evaluated at once."""
+) -> tuple[bool, _FamilyOutcome]:
+    """Whether a cap cut either algebra short, and one family's decision on
+    one pair, planned, evaluated and replayed at once."""
     plan = _family_plan(model.space, model.dom, ra, rb, screener_region, cap)
-    return _evaluate(model.measure, ra, rb, plan, not model.dom.is_canonical)
+    outcome = _evaluate(model.measure, ra, rb, plan, not model.dom.is_canonical)
+    return plan.truncated, _replayed(model.measure, outcome)
 
 
 def _witnesses(
-    model: Model,
-    principle: str,
-    failures: Sequence[Failure],
-    cap: int,
-    replayed: Replayed | None,
+    model: Model, plan: _SweepPlan, principle: str, failures: Sequence[Failure]
 ) -> Iterator[Witness]:
     """Every failing (A, B, C) under the failing screeners, over the capped
     Gamma of both sides in the sweep's order (canonical Gamma ascends by cell
-    subset), with its `Fraction` sides. Unless `replayed` is None, each
-    witness whose (region_a, region_b, C, A, B) is not in `replayed` is
-    replayed on integer history masses (`replay_screen_failure`) as it is
-    listed."""
-    space, dom, measure = model.space, model.dom, model.measure
-    for ra, rb, c, _ in failures:
-        gam_a, gam_b = gamma_capped(space, dom, ra, cap)[0], gamma_capped(space, dom, rb, cap)[0]
-        for a, b in _screen_failures(measure, gam_a, gam_b, c):
-            if replayed is not None and (ra, rb, c, a, b) not in replayed:
-                replay_screen_failure(measure, a, b, c)
+    subset), with its `Fraction` sides. A witness that is not one of its
+    screener's recorded pairs is replayed (`replay_screen_failures`) as it
+    is listed."""
+    space, measure = model.space, model.measure
+    for ra, rb, c, pairs in failures:
+        recorded = set(pairs)
+        for a, b in _screen_failures(measure, plan.gamma(space, ra), plan.gamma(space, rb), c):
+            if (a, b) not in recorded:
+                replay_screen_failures(measure, c, ((a, b),))
             yield Witness(principle, ra, rb, a, b, c, *screening_sides(measure, a, b, c))
 
 
 def _sweep(
     model: Model, caps: Caps, families: tuple[str, ...]
-) -> dict[str, tuple[_Family, list[_FamilyOutcome]]]:
-    """Per family, the model's plan of it and the outcome of the model's
-    measure on each of its nonempty pairs. Where a pair's mutual and
-    truncated joint pasts coincide, both families decide the same thing, so
-    it is evaluated once."""
+) -> tuple[_SweepPlan, dict[str, list[_FamilyOutcome]]]:
+    """The model's plan and, per family, the replayed outcome of the model's
+    measure on each of the family's nonempty pairs. Where a pair's mutual
+    and truncated joint pasts coincide, both families decide the same thing,
+    so it is evaluated and replayed once."""
     space, measure = model.space, model.measure
     plan = _plan(space, model.dom, caps)
     first_only = not model.dom.is_canonical
     evaluated: dict[tuple[Region, Region, Region], _FamilyOutcome] = {}
     swept = {}
     for fam in families:
-        family = plan.family(space, fam)
-        outcomes = []
-        for pair, entry in family.nonempty:
+        outcomes = swept[fam] = []
+        for pair, entry in plan.family(space, fam).nonempty:
             key = (pair.ra, pair.rb, entry.past)
             result = evaluated.get(key)
             if result is None:
-                result = evaluated[key] = _evaluate(measure, pair.ra, pair.rb, entry, first_only)
+                result = evaluated[key] = _replayed(
+                    measure, _evaluate(measure, pair.ra, pair.rb, entry, first_only)
+                )
             outcomes.append(result)
-        swept[fam] = family, outcomes
-    return swept
+    return plan, swept
 
 
 def _assemble(
-    model: Model,
-    principle: str,
-    family: _Family,
-    outcomes: list[_FamilyOutcome],
-    zero_mode: str,
-    algebra_cap: int,
-    replayed: Replayed | None = None,
+    model: Model, plan: _SweepPlan, principle: str, outcomes: list[_FamilyOutcome], zero_mode: str
 ) -> Verdict:
     """One principle's verdict: its family's totals, plus what the measure
     decided on each nonempty pair."""
     finite_only = _FINITE_ONLY[principle]
+    family = plan.family(model.space, _FAMILY[principle])
     items, capped = family.totals[finite_only]
     counts = dict(items)
     failures: list[Failure] = []
     zero_cells: list[tuple[Region, Region, Event]] = []
-    for (pair, _), result in zip(family.nonempty, outcomes):
+    for (pair, entry), result in zip(family.nonempty, outcomes):
         if finite_only and not pair.finite:
             continue
-        counts["screening_tests"] += result.tests
-        counts["zero_screeners"] += len(result.zero_screeners)
+        zero = len(result.zero_screeners)
+        counts["screening_tests"] += entry.event_pairs * (len(entry.screeners) - zero)
+        counts["zero_screeners"] += zero
         failures.extend(result.failing)
         if zero_mode == "strict":
             zero_cells.extend((pair.ra, pair.rb, c) for c in result.zero_screeners)
@@ -569,7 +581,7 @@ def _assemble(
         capped=capped,
         counts=counts,
         failures=tuple(failures),
-        iter_witnesses=partial(_witnesses, model, principle, failures, algebra_cap, replayed),
+        iter_witnesses=partial(_witnesses, model, plan, principle, failures),
         zero_screeners=tuple(zero_cells),
         axiom_warning=warning,
     )
@@ -589,15 +601,17 @@ def check_principle(
     mutual (SO1) or truncated joint (SO2) past. Pairs with an empty side
     cannot fail for any measure and are counted without evaluation. The
     verdict is marked capped whenever limits truncated the sweep. Only the
-    principle's own screener family is planned.
+    principle's own screener family is planned. Every failing screener and
+    zero-mass screener is replayed as it is decided, and every witness
+    outside those records as it is listed.
     """
     which = which.lower()
     if which not in PRINCIPLES:
         raise ValueError(f"unknown principle {which!r}")
     caps = caps or Caps()
     fam = _FAMILY[which]
-    family, outcomes = _sweep(model, caps, (fam,))[fam]
-    return _assemble(model, which, family, outcomes, zero_mode, caps.algebra)
+    plan, swept = _sweep(model, caps, (fam,))
+    return _assemble(model, plan, which, swept[fam], zero_mode)
 
 
 @dataclass(frozen=True)
@@ -633,38 +647,29 @@ def implication_matrix(
     and caps (both families), which every canonical-dom model on that space
     shares. The two subset implications (SOk => FIN-SOk) are asserted as
     internal consistency; their failure is an implementation bug and
-    aborts. Every failing cell triple (canonical doms) or first failing
-    event triple per screener (explicit doms) is replayed before the matrix
-    is returned, the pairs of one screener together
-    (`replay_screen_failures`): their masses are recomputed as integers from
-    the history masses, without the partial-sum tables (C and each distinct
-    A&C and B&C once, A&B&C per pair), must equal the table masses, and must
-    fail the screening identity. The verdicts share these records (SOk and
-    FIN-SOk read the same sweep), so each distinct
+    aborts. Every decision is replayed where the sweep makes it: the failing
+    cell triples (canonical doms) or first failing event triple (explicit
+    doms) of each screener together (`replay_screen_failures`), whose masses
+    are recomputed as integers from the history masses, without the
+    partial-sum tables (C and each distinct A&C and B&C once, A&B&C per
+    pair), must equal the table masses and must fail the screening
+    identity; and each zero-mass screener, whose history masses must sum to
+    0. SOk and FIN-SOk share one evaluation, as do the two families on a
+    pair whose two pasts coincide, so each distinct
     (region_a, region_b, C, A, B) is replayed once, and no `Fraction` is
     built for it. The verdicts' witnesses are listed lazily with their
-    `Fraction` sides, and each one outside those records is replayed
-    (`replay_screen_failure`) as it is listed.
+    `Fraction` sides, and each one outside its screener's records is
+    replayed as it is listed.
     """
     caps = caps or Caps()
-    swept = _sweep(model, caps, ("p1", "p2"))
-    replayed: Replayed = set()
-    verdicts = {
-        p: _assemble(model, p, *swept[_FAMILY[p]], zero_mode, caps.algebra, replayed)
-        for p in PRINCIPLES
-    }
+    plan, swept = _sweep(model, caps, ("p1", "p2"))
+    verdicts = {p: _assemble(model, plan, p, swept[_FAMILY[p]], zero_mode) for p in PRINCIPLES}
     for strong, weak in (("so1", "fin-so1"), ("so2", "fin-so2")):
         if verdicts[strong].satisfied and not verdicts[weak].satisfied:
             raise InternalConsistencyError(
                 f"{strong} satisfied but {weak} violated: the finite sweep "
                 "is a subset of the infinite sweep, so this cannot happen"
             )
-    for verdict in verdicts.values():
-        for ra, rb, c, failing in verdict.failures:
-            fresh = [(a, b) for a, b in failing if (ra, rb, c, a, b) not in replayed]
-            if fresh:
-                replayed.update((ra, rb, c, a, b) for a, b in fresh)
-                replay_screen_failures(model.measure, c, fresh)
     implications = {}
     for p in PRINCIPLES:
         for q in PRINCIPLES:
@@ -776,10 +781,10 @@ def replicate_so1_to_so2(
         _eval_family(model, pa, pb, causet.mutual_past(pa, pb), caps.algebra)
         for pa, pb in ((ra, rb), (ra | x, rb | y))
     ]
-    gamma = cache(lambda r: gamma_capped(space, dom, r, caps.algebra)[0])
+    gamma = partial(_plan(space, dom, caps).gamma, space)
     precheck_failures = sum(
         1
-        for o in prechecks
+        for _, o in prechecks
         for pa, pb, c, _ in o.failing
         for _ in _screen_failures(measure, gamma(pa), gamma(pb), c)
     )
@@ -823,7 +828,7 @@ def replicate_so1_to_so2(
                     for a, b in _screen_failures(measure, gamma(ra), gamma(rb), k):
                         joint, product = screening_sides(measure, a, b, k)
                         step2.append({"a": keys(a), "b": keys(b), "k": keys(k), "lhs": product, "rhs": joint})
-    if (step1 or step2) and dom.is_canonical and not any(o.truncated for o in prechecks):
+    if (step1 or step2) and dom.is_canonical and not any(truncated for truncated, _ in prechecks):
         raise InternalConsistencyError("replication steps 1-2 fail after an untruncated canonical SO1 precheck")
     steps = (
         StepResult(1, not step1, checked1, tuple(step1)),

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, JSON output, determinism, file formats."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -231,25 +232,38 @@ def test_theorems_rejects_sizes_before_enumerating(sizes, monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
-def test_internal_consistency_failure_exits_3(data_dir, monkeypatch, capsys):
+@pytest.mark.parametrize("command, extra", [
+    ("check", ["--principle", "all"]),
+    ("check", ["--principle", "so1"]),
+    ("check", ["--principle", "so2"]),
+    ("replicate", []),
+], ids=["check-all", "check-so1", "check-so2", "replicate"])
+@pytest.mark.parametrize("omega_mass", [
+    lambda mass: mass + 1,
+    # a false zero turns the one screener of every pair here into a vacuous pass
+    lambda mass: 0,
+], ids=["off-by-one", "false-zero"])
+def test_internal_consistency_failure_exits_3(command, extra, omega_mass, data_dir, monkeypatch,
+                                              capsys):
     # a partial-sum table that disagrees with the history masses is an
-    # implementation bug, not a usage error: the replay recomputes the masses
-    # without the tables and must catch it
+    # implementation bug, not a usage error: every decision is replayed
+    # without the tables where it is made, and the replay must catch it
     import causetlab.cli as cli
 
     real = cli.load_model
 
     def tampered(*args, **kwargs):
         model = real(*args, **kwargs)
-        model.measure._tables[0][-1] += 1  # mass(Omega), the screener of every pair here
+        table = model.measure._tables[0]
+        table[-1] = omega_mass(table[-1])  # mass(Omega), the screener of every pair here
         return model
 
     monkeypatch.setattr(cli, "load_model", tampered)
-    code = cli.main(["check", "--model", str(data_dir / "anti2_perf.json"), "--principle", "all"])
+    code = cli.main([command, "--model", str(data_dir / "anti2_perf.json"), *extra])
     out, err = capsys.readouterr()
     assert code == 3
     assert out == ""
-    assert err.startswith("causetlab check: internal consistency failure: ")
+    assert err.startswith(f"causetlab {command}: internal consistency failure: ")
     assert "differ from the history masses" in err
 
 
@@ -263,7 +277,7 @@ def test_replication_step_failure_after_an_exact_precheck_exits_3(truncated, dat
     from causetlab.cli import main
 
     monkeypatch.setattr(principles, "_eval_family",
-                        lambda *args: principles._FamilyOutcome(truncated=truncated))
+                        lambda *args: (truncated, principles._FamilyOutcome()))
     code = main(["replicate", "--model", str(data_dir / "anti2_perf.json")])
     out, err = capsys.readouterr()
     if truncated:
@@ -511,6 +525,33 @@ def test_theorems_output_is_pinned(data_dir, capsys, case, argv):
 
     assert main(["theorems", *argv]) == 0
     assert capsys.readouterr().out == (data_dir / "golden" / f"theorems.{case}.out").read_text()
+
+
+@pytest.mark.parametrize("name, case, extra, code", [
+    ("anti3_q2", "so2", ["--principle", "so2"], 1),
+    ("anti3_q2", "fin-so1-strict", ["--principle", "fin-so1", "--zero-screener", "strict"], 0),
+])
+def test_check_output_is_pinned(data_dir, capsys, name, case, extra, code):
+    from causetlab.cli import main
+
+    golden = data_dir / "golden"
+    assert main(["check", "--model", str(golden / f"{name}.json"), *extra]) == code
+    assert capsys.readouterr().out == (golden / f"{name}.check.{case}.out").read_text()
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--max-elements", "4", "--measures", "5", "--seed", "7"],
+     "c3ec2dd80c5a3307b38beeaa9a33dbcb1e205a60d10a827be8f5e94f9083f15a"),
+    (["--max-elements", "5", "--measures", "3", "--seed", "3"],
+     "1e335683bcefc647848e73dfaae5d80d6680900de84db317b954dfae770f3f7f"),
+], ids=["n4-m5-seed7", "n5-m3-seed3"])
+def test_hunt_stdout_digest_is_pinned(capsys, argv, digest):
+    # whole hunts through the sweep, the witness listing and the replays;
+    # theorems.n4-seed7.out pins the bytes of `theorems --max-elements 4 --seed 7`
+    from causetlab.cli import main
+
+    assert main(["hunt", *argv, "--include-perfect", "--workers", "1"]) == 1
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("path, code", [

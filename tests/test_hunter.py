@@ -269,6 +269,21 @@ def test_workers_below_one_rejected(workers, capsys):
         max_elements=2, workers=3).to_json()
 
 
+def test_a_false_zero_mass_stops_the_hunt(monkeypatch, capsys):
+    # mass(Omega) reading 0 would make every pair of the 2-antichain pass
+    # vacuously; the zero screener's replay on the history masses objects
+    from causetlab.cli import main
+
+    table_mass = MeasureTable.mass
+    monkeypatch.setattr(MeasureTable, "mass",
+                        lambda m, e: 0 if e == m.space.omega else table_mass(m, e))
+    assert main(["hunt", "--max-elements", "2", "--workers", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("causetlab hunt: internal consistency failure: ")
+    assert "differ from the history masses" in err
+
+
 def test_hunt_respects_hard_limit():
     with pytest.raises(LimitError):
         hunt(SearchConfig(max_elements=8))

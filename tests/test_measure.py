@@ -82,6 +82,39 @@ def _antichain_space(q, n):
 SHAPES = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4)]
 
 
+def _fields(m):
+    return m.weights, m.denominator, m.masses, m.weight_strings(), m._tables
+
+
+@pytest.mark.parametrize("seed, bound", [(7, 100), ("plan:3", 5), (1, 2), (0, 0)])
+@pytest.mark.parametrize("q, n", [(2, 4), (3, 2)])
+def test_random_weights_are_the_normalized_draws(q, n, seed, bound):
+    # random() builds its table from integers; the weights must be the
+    # Fractions k / sum(k) of the same seeded draws, recomputed here, and
+    # the table that of those weights
+    import random
+
+    space = _antichain_space(q, n)
+    rng = random.Random(f"measure:{seed}")
+    nums = [rng.randint(0, bound) for _ in range(space.size)]
+    if not any(nums):
+        nums[0] = 1
+    expected = [Fraction(k, sum(nums)) for k in nums]
+    m = MeasureTable.random(space, seed, bound)
+    assert list(m.weights) == expected
+    assert _fields(m) == _fields(MeasureTable(space, expected))
+
+
+@pytest.mark.parametrize("q, n", [(2, 1), (2, 4), (3, 2), (3, 3)])
+def test_uniform_and_perfect_tables_are_those_of_their_weights(q, n):
+    space = _antichain_space(q, n)
+    constant = {sum(v * q ** i for i in range(n)) for v in range(q)}
+    perfect = [Fraction(1, q) if h in constant else Fraction(0) for h in range(space.size)]
+    assert _fields(MeasureTable.uniform(space)) == _fields(
+        MeasureTable(space, [Fraction(1, space.size)] * space.size))
+    assert _fields(MeasureTable.perfectly_correlated(space)) == _fields(MeasureTable(space, perfect))
+
+
 @st.composite
 def measures_with_events(draw, shapes=SHAPES):
     q, n = draw(st.sampled_from(shapes))

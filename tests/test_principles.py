@@ -233,19 +233,14 @@ def test_matrix_replays_each_distinct_failing_triple_once(monkeypatch):
     import causetlab.principles as principles
 
     calls = []
-    grouped, single = principles.replay_screen_failures, principles.replay_screen_failure
+    grouped = principles.replay_screen_failures
 
     def counted_grouped(measure, c, pairs):
         pairs = list(pairs)
         calls.extend((c, a, b) for a, b in pairs)
         return grouped(measure, c, pairs)
 
-    def counted_single(measure, a, b, c):
-        calls.append((c, a, b))
-        return single(measure, a, b, c)
-
     monkeypatch.setattr(principles, "replay_screen_failures", counted_grouped)
-    monkeypatch.setattr(principles, "replay_screen_failure", counted_single)
     matrix = implication_matrix(_v_copy_model())
     assert matrix.bits == "0000"
     records = [
