@@ -59,6 +59,7 @@ from .principles import (
     Verdict,
     Witness,
     check_principle,
+    first_witnesses,
     gap_closure_check,
     implication_matrix,
     replay_witness,

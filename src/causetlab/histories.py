@@ -405,7 +405,8 @@ def check_dom_axioms(
     canonical doms the atoms of every split are the cells of Phi(dom Z), so
     each event is decided once, on those cells, and counts its splits in
     closed form: 2^(|dom Z| - 1), or 1 when the dom is empty. Explicit doms
-    build each split's atoms from the generators Gamma(X) and Gamma(Y).
+    build each split's atoms from the generators Gamma(X) and Gamma(Y), once
+    per distinct split in one call.
 
     Failures are reported with a minimal witness (first in enumeration
     order), never thrown. `axioms` selects a subset to run.
@@ -591,6 +592,9 @@ def _axiom4(
     # Gamma(X) | Gamma(Y); equivalently Z never splits an atom of that algebra.
     if dom.is_canonical:
         return _axiom4_canonical(space, universe, doms)
+    # the map's (event, dom) list, and each split's atoms, built once
+    mapped = [(e, dom.dom(space, e)) for e in dom.events(space)]
+    atoms: dict[tuple[Region, Region], list[Event]] = {}
     checked = 0
     for z in universe:
         d = doms[z]
@@ -603,7 +607,9 @@ def _axiom4(
             x = sub | top
             y = d ^ x
             checked += 1
-            for atom in _algebra_atoms(space, dom, x, y):
+            if (x, y) not in atoms:
+                atoms[x, y] = _algebra_atoms(space, mapped, x, y)
+            for atom in atoms[x, y]:
                 if atom & z and atom & ~z:
                     return _axiom4_failure(space, checked, z, x, y, atom)
             if sub == 0:
@@ -638,12 +644,12 @@ def _axiom4_failure(
     })
 
 
-def _algebra_atoms(space: HistorySpace, dom: DomMap, x: Region, y: Region) -> list[Event]:
-    generators = [
-        e for e in dom.events(space) if dom.dom(space, e) & ~x == 0
-    ] + [
-        e for e in dom.events(space) if dom.dom(space, e) & ~y == 0
-    ]
+def _algebra_atoms(
+    space: HistorySpace, mapped: Sequence[tuple[Event, Region]], x: Region, y: Region
+) -> list[Event]:
+    """The atoms of the algebra generated by Gamma(x) | Gamma(y), given the
+    map's (event, dom) list."""
+    generators = [e for e, d in mapped if d & ~x == 0] + [e for e, d in mapped if d & ~y == 0]
     atoms = [space.omega]
     for g in generators:
         nxt = []

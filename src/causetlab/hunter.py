@@ -1,10 +1,16 @@
 """Exhaustive search over small models for principle separations.
 
 Enumerates causets up to order-isomorphism, samples exact-rational measures,
-runs the four-principle implication matrix on every (causet, measure) model,
-and aggregates which combinations actually occur. Models that separate
+decides the four principles on every (causet, measure) model, and
+aggregates which combinations actually occur. Models that separate
 principles (the open cells of the implication diagram) come back as
 findings with replayable fingerprints.
+
+A finding needs only the four bits and each failing principle's first
+witness, so every principle is decided only up to its first failure
+(`first_witnesses`): each 0 rests on a replayed failure, each 1 on a full
+sweep. `replay_finding` re-runs the full implication matrix, an independent
+check of a finding's bits.
 
 Canonical form: the lexicographically minimal relation matrix over all
 relabelings, compared in expanding-submatrix block order (the block at depth
@@ -49,8 +55,9 @@ from .measure import MeasureTable
 from .principles import (
     PRINCIPLES,
     Caps,
-    ImplicationMatrix,
     Model,
+    Witness,
+    first_witnesses,
     gap_closure_check,
     implication_matrix,
 )
@@ -275,9 +282,8 @@ class Finding:
         }
 
 
-def _classify(matrix: ImplicationMatrix, gap_mismatch: bool) -> tuple[str, ...]:
-    so1, so2 = matrix.satisfied("so1"), matrix.satisfied("so2")
-    f1, f2 = matrix.satisfied("fin-so1"), matrix.satisfied("fin-so2")
+def _classify(first: dict[str, Witness | None], gap_mismatch: bool) -> tuple[str, ...]:
+    so1, so2, f1, f2 = (first[p] is None for p in PRINCIPLES)
     tags = []
     if (f1 and not so1) or (f2 and not so2):
         tags.append("separates finite/infinite")
@@ -333,10 +339,11 @@ def _hunt_causet(task: tuple[int, tuple[int, ...], SearchConfig]) -> dict:
     findings = []
     truth: dict[str, int] = {}
     for kind, model in zip(kinds, models):
-        matrix = implication_matrix(model, config.caps, config.zero_mode)
-        bits = matrix.bits
+        # zero_mode lists zero-mass screeners but never changes a bit
+        first = first_witnesses(model, config.caps)
+        bits = "".join("1" if first[p] is None else "0" for p in PRINCIPLES)
         truth[bits] = truth.get(bits, 0) + 1
-        tags = _classify(matrix, gap_mismatch)
+        tags = _classify(first, gap_mismatch)
         if not tags:
             continue
         fingerprint = {
@@ -352,9 +359,9 @@ def _hunt_causet(task: tuple[int, tuple[int, ...], SearchConfig]) -> dict:
         }
         samples = []
         for principle in PRINCIPLES:
-            verdict = matrix.verdicts[principle]
-            if not verdict.satisfied:
-                sample = next(verdict.iter_witnesses()).to_json(model)
+            witness = first[principle]
+            if witness is not None:
+                sample = witness.to_json(model)
                 sample["principle"] = principle
                 samples.append(sample)
         findings.append(
@@ -535,7 +542,8 @@ def _read_checkpoint(path: str | None, config: SearchConfig) -> tuple[int, _Tota
 
 
 def replay_finding(finding: dict | Finding) -> str:
-    """Rebuild the fingerprinted model and re-run the matrix; returns bits."""
+    """Rebuild the fingerprinted model and re-run the full matrix; returns
+    bits."""
     data = finding.to_json() if isinstance(finding, Finding) else finding
     fp = data["fingerprint"]
     causet = Causet.from_relations(

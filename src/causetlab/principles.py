@@ -6,8 +6,8 @@ mutual past P1(A, B) screens off: mu(A & B | C) = mu(A | C) mu(B | C).
 SO2: the same with full specifications of the truncated joint past P2(A, B).
 The FIN variants quantify only over causally finite region pairs; since
 their sweep is a subset of the infinite sweep, SOk satisfied must imply
-FIN-SOk satisfied, and the matrix checker aborts if it ever does not (that
-would be an implementation bug, not physics).
+FIN-SOk satisfied, and the matrix checker and the hunter's route abort if it
+ever does not (that would be an implementation bug, not physics).
 
 No implication between SO1 and SO2 is ever asserted: both directions are
 treated as per-model empirical data, and `replicate_so1_to_so2` plus
@@ -37,6 +37,12 @@ failing screener's recorded pairs together, and each zero-mass screener,
 on integer history masses summed without the partial-sum tables
 (`measure.replay_screen_failures`), and so is every listed witness outside
 those records. `Fraction` sides are built only for listed witnesses.
+
+`check_principle`, `implication_matrix` and `replicate_so1_to_so2` sweep in
+full. The hunter needs only each principle's bit and first witness, so
+`first_witnesses` walks the same plan with the same screener loop
+(`_screened`) but decides each principle only up to its first failure; a
+principle that holds is swept in full there too.
 """
 
 from __future__ import annotations
@@ -462,11 +468,15 @@ def _plan(space: HistorySpace, dom: DomMap, caps: Caps) -> _SweepPlan:
     return plan
 
 
-def _evaluate(
+def _screened(
     measure: MeasureTable, ra: Region, rb: Region, plan: _FamilyPlan, first_only: bool
-) -> _FamilyOutcome:
+) -> Iterator[_FamilyOutcome]:
     """Screening decision over Gamma(ra) x Gamma(rb) x Phi(screener region),
-    on the events and screeners of `plan`.
+    on the events and screeners of `plan`, screener by screener: one outcome
+    per failing screener, holding it and the zero-mass screeners met since
+    the previous one, then one holding the zero-mass screeners after the
+    last. The first outcome is the decision up to the first failing
+    screener; all of them, joined (`_evaluate`), are the whole decision.
 
     Canonical doms: every event of Gamma(R) is a union of Phi(R) cells, and
     mu(A&B&C) mu(C) - mu(A&C) mu(B&C) is bilinear in the cell indicators of
@@ -476,7 +486,6 @@ def _evaluate(
     screener's first failure.
     """
     mass = measure.mass
-    failing: list[Failure] = []
     zero: list[Event] = []
     for c in plan.screeners:
         if mass(c) == 0:
@@ -485,7 +494,20 @@ def _evaluate(
         found = _screen_failures(measure, plan.events_a, plan.events_b, c)
         pairs = tuple(islice(found, 1) if first_only else found)
         if pairs:
-            failing.append((ra, rb, c, pairs))
+            yield _FamilyOutcome(((ra, rb, c, pairs),), tuple(zero))
+            zero = []
+    yield _FamilyOutcome((), tuple(zero))
+
+
+def _evaluate(
+    measure: MeasureTable, ra: Region, rb: Region, plan: _FamilyPlan, first_only: bool
+) -> _FamilyOutcome:
+    """The whole screening decision on one pair: `_screened` read to the end."""
+    failing: list[Failure] = []
+    zero: list[Event] = []
+    for outcome in _screened(measure, ra, rb, plan, first_only):
+        failing += outcome.failing
+        zero += outcome.zero_screeners
     return _FamilyOutcome(tuple(failing), tuple(zero))
 
 
@@ -664,12 +686,7 @@ def implication_matrix(
     caps = caps or Caps()
     plan, swept = _sweep(model, caps, ("p1", "p2"))
     verdicts = {p: _assemble(model, plan, p, swept[_FAMILY[p]], zero_mode) for p in PRINCIPLES}
-    for strong, weak in (("so1", "fin-so1"), ("so2", "fin-so2")):
-        if verdicts[strong].satisfied and not verdicts[weak].satisfied:
-            raise InternalConsistencyError(
-                f"{strong} satisfied but {weak} violated: the finite sweep "
-                "is a subset of the infinite sweep, so this cannot happen"
-            )
+    _check_subset_implications({p: verdicts[p].satisfied for p in PRINCIPLES})
     implications = {}
     for p in PRINCIPLES:
         for q in PRINCIPLES:
@@ -678,6 +695,59 @@ def implication_matrix(
                     not verdicts[p].satisfied or verdicts[q].satisfied
                 )
     return ImplicationMatrix(verdicts, implications)
+
+
+def _check_subset_implications(satisfied: dict[str, bool]) -> None:
+    """SOk satisfied must imply FIN-SOk satisfied; anything else is a bug."""
+    for strong, weak in (("so1", "fin-so1"), ("so2", "fin-so2")):
+        if satisfied[strong] and not satisfied[weak]:
+            raise InternalConsistencyError(
+                f"{strong} satisfied but {weak} violated: the finite sweep "
+                "is a subset of the infinite sweep, so this cannot happen"
+            )
+
+
+def first_witnesses(model: Model, caps: Caps | None = None) -> dict[str, Witness | None]:
+    """Per principle, the first witness its full sweep lists, the one
+    `next(implication_matrix(model, caps).verdicts[p].iter_witnesses())`
+    gives, or None when the principle holds; decided only as far as that.
+
+    It walks the same plan in the same order as the matrix. A pair is
+    decided up to its first failing screener (`_screened`), whose recorded
+    pairs and the zero-mass screeners before it are replayed. Once SOk has
+    failed, only causally finite pairs are decided; once FIN-SOk has failed
+    too, the family stops. A principle that holds is swept in full, so each
+    0 rests on a replayed failure and each 1 on the full sweep. As in the
+    matrix, a pair whose two pasts coincide is decided once for both
+    families, and SOk satisfied with FIN-SOk violated aborts.
+    """
+    caps = caps or Caps()
+    space, measure = model.space, model.measure
+    plan = _plan(space, model.dom, caps)
+    first_only = not model.dom.is_canonical
+    decided: dict[tuple[Region, Region, Region], _FamilyOutcome] = {}
+    first: dict[str, Failure] = {}
+    for fam in ("p1", "p2"):
+        ranging = [p for p in PRINCIPLES if _FAMILY[p] == fam]
+        for pair, entry in plan.family(space, fam).nonempty:
+            if all(p in first for p in ranging):
+                break
+            open_here = [p for p in ranging if p not in first and (pair.finite or not _FINITE_ONLY[p])]
+            if not open_here:
+                continue
+            key = (pair.ra, pair.rb, entry.past)
+            result = decided.get(key)
+            if result is None:
+                result = decided[key] = _replayed(
+                    measure, next(_screened(measure, pair.ra, pair.rb, entry, first_only))
+                )
+            if result.failing:
+                first.update(dict.fromkeys(open_here, result.failing[0]))
+    _check_subset_implications({p: p not in first for p in PRINCIPLES})
+    return {
+        p: next(_witnesses(model, plan, p, (first[p],))) if p in first else None
+        for p in PRINCIPLES
+    }
 
 
 # -- replication of the SO1 => SO2 derivation --------------------------------

@@ -544,7 +544,10 @@ def test_check_output_is_pinned(data_dir, capsys, name, case, extra, code):
      "c3ec2dd80c5a3307b38beeaa9a33dbcb1e205a60d10a827be8f5e94f9083f15a"),
     (["--max-elements", "5", "--measures", "3", "--seed", "3"],
      "1e335683bcefc647848e73dfaae5d80d6680900de84db317b954dfae770f3f7f"),
-], ids=["n4-m5-seed7", "n5-m3-seed3"])
+    # truth table 0000 204, 0001 1, 0011 185, 1111 132: one model holds FIN-SO2 alone
+    (["--max-elements", "5", "--measures", "5", "--seed", "7"],
+     "5cec808d290077632b70eecc3121698381556a9e0091a7f2f73e8812a5cc2e1a"),
+], ids=["n4-m5-seed7", "n5-m3-seed3", "n5-m5-seed7"])
 def test_hunt_stdout_digest_is_pinned(capsys, argv, digest):
     # whole hunts through the sweep, the witness listing and the replays;
     # theorems.n4-seed7.out pins the bytes of `theorems --max-elements 4 --seed 7`

@@ -340,6 +340,25 @@ def test_axiom4_on_a_spelled_out_map_matches_the_per_split_oracle(q, n):
     assert report == brute_axiom4(space, universe, lambda e: brute_dom(space, e))
 
 
+def test_axiom4_builds_each_splits_atoms_once(monkeypatch):
+    import causetlab.histories as histories
+
+    calls = []
+    real = histories._algebra_atoms
+
+    def counted(space, mapped, x, y):
+        calls.append((x, y))
+        return real(space, mapped, x, y)
+
+    monkeypatch.setattr(histories, "_algebra_atoms", counted)
+    space = HistorySpace(validate_causet(["p", "a", "b"], [("p", "a"), ("p", "b")]), 2)
+    dom = DomMap.explicit({e: space.canonical_dom(e) for e in range(space.omega + 1)})
+    (result,) = check_dom_axioms(space, dom, axioms=(4,)).results
+    assert result.passed and result.checked > 100
+    # one call per distinct unordered split (X, Y) of a dom: 1 + 3 + 3 * 2 + 4
+    assert len(calls) == len(set(calls)) <= 14
+
+
 def test_axiom4_matches_the_per_split_oracle_on_shrunk_doms(monkeypatch):
     # drop one element from some canonical doms: both sides must report the
     # same failing split, atom and count

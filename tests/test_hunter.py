@@ -284,6 +284,43 @@ def test_a_false_zero_mass_stops_the_hunt(monkeypatch, capsys):
     assert "differ from the history masses" in err
 
 
+def test_an_off_table_mass_on_a_failing_screener_stops_the_hunt(monkeypatch, capsys):
+    # mass(A&C) one too high for A = {e0 = 0} and C = Omega, a failing
+    # screener of the 2-antichain: its replay on the history masses objects
+    from causetlab.cli import main
+
+    table_mass = MeasureTable.mass
+    monkeypatch.setattr(MeasureTable, "mass",
+                        lambda m, e: table_mass(m, e) + (e == m.space.cylinder({"e0": 0})))
+    assert main(["hunt", "--max-elements", "2", "--include-perfect", "--workers", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("causetlab hunt: internal consistency failure: ")
+    assert "differ from the history masses" in err
+
+
+def test_every_finding_witness_is_replayed(monkeypatch):
+    import causetlab.principles as principles
+
+    replayed = set()
+    real = principles.replay_screen_failures
+
+    def recorded(measure, c, pairs):
+        space = measure.space
+        model = (json.dumps(space.causet.relation_pairs()), json.dumps(measure.weight_strings()))
+        keys = space.event_keys
+        replayed.update((*model, json.dumps([keys(a), keys(b), keys(c)])) for a, b in pairs)
+        return real(measure, c, pairs)
+
+    monkeypatch.setattr(principles, "replay_screen_failures", recorded)
+    report = hunt(SearchConfig(max_elements=4, measures_per_model=5, seed=7, include_perfect=True))
+    samples = [(f["fingerprint"], s) for f in report.findings for s in f["witness_samples"]]
+    assert len(samples) > len(report.findings) > 50
+    for fp, s in samples:
+        model = (json.dumps(fp["causet"]["relations"]), json.dumps(fp["measure"]["weights"]))
+        assert (*model, json.dumps([s["event_a"], s["event_b"], s["screener"]])) in replayed
+
+
 def test_hunt_respects_hard_limit():
     with pytest.raises(LimitError):
         hunt(SearchConfig(max_elements=8))

@@ -5,6 +5,8 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causetlab import (
     AxiomViolationWarning,
@@ -17,6 +19,7 @@ from causetlab import (
     Model,
     NotSpacelikeError,
     check_principle,
+    first_witnesses,
     full_specifications,
     gap_closure_check,
     implication_matrix,
@@ -26,6 +29,7 @@ from causetlab import (
 )
 
 from oracles import brute_gamma, brute_screens
+from test_kernel_oracles import small_models
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -420,6 +424,61 @@ def test_matrix_json_deterministic(anti2_perf_model):
     a = json.dumps(implication_matrix(anti2_perf_model).to_json(anti2_perf_model), sort_keys=True)
     b = json.dumps(implication_matrix(anti2_perf_model).to_json(anti2_perf_model), sort_keys=True)
     assert a == b
+
+
+# -- the hunter's first-failure route -------------------------------------------------
+
+
+def _copy_measure(space, copied):
+    """copy(S): the elements of S show one shared fair value, the others
+    independent fair values."""
+    keys = map(space.history_key, range(space.size))
+    nums = [int(len({key[i] for i in range(len(key)) if copied >> i & 1}) <= 1) for key in keys]
+    return MeasureTable(space, [Fraction(k, sum(nums)) for k in nums])
+
+
+def _first_witness_json(model, caps):
+    """The bits and each first witness's JSON, by the early route and by the
+    full matrix."""
+    early = first_witnesses(model, caps)
+    matrix = implication_matrix(model, caps)
+    full = {
+        p: None if v.satisfied else next(v.iter_witnesses()).to_json(model)
+        for p, v in matrix.verdicts.items()
+    }
+    return matrix.bits, {p: w and w.to_json(model) for p, w in early.items()}, full
+
+
+def test_first_witnesses_equal_the_full_matrix_on_every_small_causet():
+    from causetlab.hunter import enumerate_causets
+
+    seen = set()
+    for q, top in ((2, 5), (3, 3)):
+        for causet in (c for n in range(1, top + 1) for c in enumerate_causets(n)):
+            space = HistorySpace(causet, q)
+            for caps in (Caps(), Caps(algebra=3), Caps(region_size=2, algebra=7)):
+                # every copy set at the default caps, the largest proper one otherwise
+                copied = range(1 << causet.n) if caps == Caps() else [(1 << causet.n) - 2]
+                measures = [
+                    MeasureTable.uniform(space),
+                    MeasureTable.random(space, f"first:{causet.n}", 3),
+                    MeasureTable.perfectly_correlated(space),
+                    *(_copy_measure(space, s) for s in copied if s.bit_count() > 1),
+                ]
+                for measure in measures:
+                    bits, early, full = _first_witness_json(Model.build(space, measure), caps)
+                    assert early == full, (causet.relation_pairs(), q, caps, bits)
+                    seen.add(bits)
+    # every combination the hunts report, FIN-SO2 alone included
+    assert seen == {"0000", "0001", "0011", "1111"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_models(), st.sampled_from([Caps(), Caps(algebra=3), Caps(region_size=2, algebra=7)]))
+def test_first_witnesses_equal_the_full_matrix_on_random_models(model, caps):
+    # explicit and canonical doms, through the kernel oracles' strategy
+    _, early, full = _first_witness_json(model, caps)
+    assert early == full
 
 
 # -- dom axiom gate ------------------------------------------------------------------
