@@ -401,6 +401,12 @@ def check_dom_axioms(
     unsatisfiable by any least-domain construction. The sigma-algebra of
     axiom 4 is the Boolean algebra generated (finite case).
 
+    Axiom 2 holds for canonical doms by construction (an intersection of
+    events invariant under flips outside R is invariant too), so each dom
+    group counts its families in closed form, sum of C(members, k) for
+    k = 2..family_size. Explicit doms sweep every family, except in the
+    full-region group, where containment is automatic and only counted.
+
     Axiom 4 counts one check per unordered split (X, Y) of dom(Z). For
     canonical doms the atoms of every split are the cells of Phi(dom Z), so
     each event is decided once, on those cells, and counts its splits in
@@ -506,6 +512,14 @@ def _axiom2(
     groups: dict[Region, list[Event]] = {}
     for e in universe:
         groups.setdefault(doms[e], []).append(e)
+
+    def families(members: list[Event]) -> int:
+        return sum(comb(len(members), k) for k in range(2, family_size + 1))
+
+    if dom.is_canonical:
+        # events invariant under every flip outside R have an invariant
+        # intersection, so its canonical dom lies in R: every family holds
+        return AxiomResult(2, True, sum(families(m) for m in groups.values()), None)
     checked = 0
     witness = None
     for region in sorted(groups):
@@ -514,15 +528,11 @@ def _axiom2(
             # dom maps into subsets of the element set, so containment in the
             # full region holds for every family sharing it; counted, not
             # evaluated (this group usually carries most of the universe)
-            checked += sum(comb(len(members), k) for k in range(2, family_size + 1))
+            checked += families(members)
             continue
-        if witness is not None:
-            break
 
         def extend(start: int, family: list[Event]):
             nonlocal checked, witness
-            if witness is not None:
-                return
             if len(family) >= 2:
                 checked += 1
                 inter = space.omega
@@ -553,6 +563,8 @@ def _axiom2(
                     return
 
         extend(0, [])
+        if witness is not None:
+            break
     return AxiomResult(2, witness is None, checked, witness)
 
 

@@ -15,21 +15,28 @@ check of a finding's bits.
 Canonical form: the lexicographically minimal relation matrix over all
 relabelings, compared in expanding-submatrix block order (the block at depth
 d holds the entries between the element placed at d and those before it).
-It is computed by branch and bound. Only candidates realizing the minimal
-next block are explored, since the next block is the very next key
-component. Each block is one integer, extended by a shift per level, and a
-branch is cut as soon as its blocks so far equal those of the best sequence
-found and its next block is larger (incumbent pruning). Of twin candidates,
-which share their successors and predecessors, only one is explored: swapping
-them is an automorphism fixing the placed prefix, so both give the same
-sequence (twin pruning). Neither cut can change the minimum, so the result
-is the exhaustive one. Enumeration extends each (n-1)-element representative
-by one new maximal element over every order ideal; every finite poset has a
-maximal element, so this reaches every isomorphism class. A candidate is
-skipped when another of its maximal elements has a larger down-set than the
-new one (deletion pruning, after McKay's canonical deletion, "Isomorph-free
+It is computed by a level-wise search. At each depth it keeps every placed
+prefix whose blocks equal the least blocks reached at that depth, and
+extends each only by candidates whose next block is the least next block
+over all kept prefixes, since the next block is the very next key
+component. Each free element's block is one integer, `row << n | col`,
+extended by a shift and an or per placement. Of twin candidates, which share
+their successors and predecessors, only one is extended: swapping them is an
+automorphism fixing the placed prefix, so both give the same sequence (twin
+pruning). The prefixes left after the last depth are all the least
+labelings up to twin swaps, so the maps between them and the twin
+transpositions generate the automorphism group (`_automorphisms`).
+
+Enumeration extends each (n-1)-element representative by one new maximal
+element over every order ideal; every finite poset has a maximal element, so
+this reaches every isomorphism class. An ideal is skipped when an
+automorphism of the base maps an ideal already tried onto it, since the two
+candidates are isomorphic (orbit pruning). A candidate is also skipped when
+another of its maximal elements has a larger down-set than the new one
+(deletion pruning, after McKay's canonical deletion, "Isomorph-free
 exhaustive generation", 1998): every class still keeps the candidate that
-deletes a maximal element with the largest down-set.
+deletes a maximal element with the largest down-set. Deletion pruning is
+constant on the orbits, so the two cuts compose.
 
 Determinism: work is partitioned by canonical causet index, per-causet
 measure seeds are derived from (seed, index), and results are merged in
@@ -74,7 +81,43 @@ _reps_cache: dict[int, list[tuple[int, ...]]] = {}
 
 def canonical_form(lt: Sequence[int]) -> tuple[int, ...]:
     """Relabel a closed strict-order matrix (row i = mask of successors of i)
-    to its minimal lexicographic form."""
+    to the form whose block sequence is least over all relabelings. The
+    level-wise search keeps every least labeling up to twin swaps; all give
+    this same matrix, which is read off the first."""
+    order = _least_labelings(lt)[0][0]
+    out = []
+    for a in order:
+        row = 0
+        src = lt[a]
+        for b, u in enumerate(order):
+            row |= (src >> u & 1) << b
+        out.append(row)
+    return tuple(out)
+
+
+def _automorphisms(rows: Sequence[int]) -> list[tuple[int, ...]]:
+    """Generators of the automorphism group of a closed strict-order matrix,
+    each as the tuple of element images: the maps from the first least
+    labeling to each other one, and the twin transpositions."""
+    orders, twin = _least_labelings(rows)
+    first = orders[0]
+    gens = []
+    for order in orders[1:]:
+        image = [0] * len(rows)
+        for a, b in zip(first, order):
+            image[a] = b
+        gens.append(tuple(image))
+    for o, t in enumerate(twin):
+        if t != o:
+            image = list(range(len(rows)))
+            image[o], image[t] = t, o
+            gens.append(tuple(image))
+    return gens
+
+
+def _least_labelings(lt: Sequence[int]) -> tuple[list[list[int]], list[int]]:
+    """Every labeling (element placed at each position) whose block sequence
+    is least, up to twin swaps, and each element's least twin."""
     n = len(lt)
     below = [0] * n
     for i in range(n):
@@ -86,53 +129,24 @@ def canonical_form(lt: Sequence[int]) -> tuple[int, ...]:
         next(t for t in range(n) if lt[t] == lt[o] and below[t] == below[o])
         for o in range(n)
     ]
-    incumbent = [0] * n  # block keys of the best sequence found so far
-    best: list[int] = []
-    perm: list[int] = []
-
-    def rec(free: list[tuple[int, int, int]], tied: bool) -> None:
-        """Search the placements extending perm. `free` holds each unplaced
-        element with its row and column bits against perm, earliest placed
-        most significant, so `row << depth | col` orders the candidate blocks
-        as their bit tuples would. `tied` says that the blocks of perm equal
-        the incumbent's."""
-        depth = len(perm)
-        if depth == n:
-            if not tied:
-                best[:] = perm
-            return
-        floor = min(row << depth | col for _, row, col in free)
-        if tied and floor > incumbent[depth]:
-            return
-        if not tied or floor < incumbent[depth]:
-            # the first child reaches a leaf unpruned and becomes the incumbent
-            incumbent[depth] = floor
-            tied = False
-        expanded = set()
-        for o, row, col in free:
-            if row << depth | col != floor or twin[o] in expanded:
-                continue
-            expanded.add(twin[o])
-            up = lt[o]
-            child = [
-                (u, r << 1 | lt[u] >> o & 1, c << 1 | up >> u & 1)
-                for u, r, c in free
-                if u != o
-            ]
-            perm.append(o)
-            rec(child, tied)
-            perm.pop()
-            tied = True
-
-    rec([(o, 0, 0) for o in range(n)], False)
-    out = []
-    for a in range(n):
-        row = 0
-        src = lt[best[a]]
-        for b in range(n):
-            row |= (src >> best[b] & 1) << b
-        out.append(row)
-    return tuple(out)
+    # a free element's block against the placed prefix is one int,
+    # row << n | col, earliest placed most significant in each half, so it
+    # orders blocks as their bit tuples would; placing o appends add[o][u]
+    add = [[(lt[u] >> o & 1) << n | (lt[o] >> u & 1) for u in range(n)] for o in range(n)]
+    level: list[tuple[list[int], list[tuple[int, int]]]] = [([], [(o, 0) for o in range(n)])]
+    for _ in range(n):
+        floor = min(k for _, free in level for _, k in free)
+        nxt = []
+        for order, free in level:
+            expanded = set()
+            for o, k in free:
+                if k != floor or twin[o] in expanded:
+                    continue
+                expanded.add(twin[o])
+                step = add[o]
+                nxt.append((order + [o], [(u, c << 1 | step[u]) for u, c in free if u != o]))
+        level = nxt
+    return [order for order, _ in level], twin
 
 
 def _order_ideals(below: Sequence[int]) -> Iterator[int]:
@@ -162,12 +176,26 @@ def _representatives(n: int) -> list[tuple[int, ...]]:
                     below[i] |= 1 << j
             # the base's maximal elements, with their down-set sizes
             maximal = [(below[i].bit_count(), 1 << i) for i, row in enumerate(base) if not row]
+            gens = _automorphisms(base)
+            tried: set[int] = set()
             for ideal in _order_ideals(below):
+                if ideal in tried:
+                    continue
                 size = ideal.bit_count()
                 # deletion pruning: keep the candidate only if the new element
                 # has a largest down-set among its maximal elements
                 if any(down > size and not ideal & bit for down, bit in maximal):
                     continue
+                # orbit pruning: an automorphism of the base maps the ideal to
+                # one whose candidate is isomorphic, so the orbit is tried once
+                orbit = [ideal]
+                tried.add(ideal)
+                for m in orbit:
+                    for image in gens:
+                        moved = sum(1 << image[i] for i in _bits(m))
+                        if moved not in tried:
+                            tried.add(moved)
+                            orbit.append(moved)
                 candidate = tuple(
                     row | (new_bit if ideal >> i & 1 else 0)
                     for i, row in enumerate(base)

@@ -11,7 +11,8 @@ with.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from math import comb
 
 from causetlab.measure import CcsVerdict, CommonCauseVerdict
 
@@ -78,6 +79,44 @@ def brute_phi(space, region):
 
 
 _phi_cache: dict = {}
+
+
+def brute_axiom2(space, universe, dom_of, family_size):
+    """Dom axiom 2 as the literal family sweep, in the checker's JSON form.
+
+    Events are grouped by dom_of, groups ascending. Each family of 2 to
+    family_size distinct members of a group, in depth-first order (every
+    family before its extensions), needs an intersection whose dom lies in
+    the group's dom; the sweep stops at the first that does not. The
+    full-region group is counted, not evaluated: every dom lies in it.
+    """
+    labels = space.causet.labels
+    groups = {}
+    for e in sorted(set(universe)):
+        groups.setdefault(dom_of(e), []).append(e)
+    checked = 0
+    for region in sorted(groups):
+        members = groups[region]
+        if region == space.causet.full:
+            checked += sum(comb(len(members), k) for k in range(2, family_size + 1))
+            continue
+        picks = sorted(
+            c for k in range(2, family_size + 1) for c in combinations(range(len(members)), k)
+        )
+        for pick in picks:
+            checked += 1
+            family = [members[i] for i in pick]
+            inter = space.omega
+            for e in family:
+                inter &= e
+            got = dom_of(inter)
+            if got & ~region:
+                return {"axiom": 2, "passed": False, "checked": checked, "witness": {
+                    "family": [space.event_keys(e) for e in family],
+                    "dom_of_intersection": list(labels(got)),
+                    "common_dom": list(labels(region)),
+                }}
+    return {"axiom": 2, "passed": True, "checked": checked, "witness": None}
 
 
 def brute_axiom4(space, universe, dom_of):
@@ -179,6 +218,19 @@ def _canon_pairs(rows, n):
         if best is None or mapped < best:
             best = mapped
     return best
+
+
+def brute_automorphisms(rows):
+    """Every relabeling, as the tuple of element images, that maps the
+    relation onto itself."""
+    n = len(rows)
+    return [
+        perm for perm in permutations(range(n))
+        if all(
+            sum(1 << perm[j] for j in range(n) if rows[i] >> j & 1) == rows[perm[i]]
+            for i in range(n)
+        )
+    ]
 
 
 def brute_canonical_form(rows):

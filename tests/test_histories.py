@@ -22,7 +22,7 @@ from causetlab import (
 )
 from causetlab.causet import _popcount
 
-from oracles import brute_axiom4, brute_decides, brute_dom, brute_gamma, brute_phi
+from oracles import brute_axiom2, brute_axiom4, brute_decides, brute_dom, brute_gamma, brute_phi
 
 CANON = DomMap.canonical()
 
@@ -303,14 +303,50 @@ def test_handcrafted_dom_fails_axiom_4():
     }
 
 
-def _axiom4_spaces():
-    # every causet with n <= 3 (q = 2) and n <= 2 (q = 3) with all of its
-    # events, then every 4-causet (q = 2) with 100 sampled events
+def _exhaustive_spaces():
+    # every causet with n <= 3 (q = 2) and n <= 2 (q = 3)
     for q, top in ((2, 3), (3, 2)):
         for n in range(1, top + 1):
             for causet in enumerate_causets(n):
-                space = HistorySpace(causet, q)
-                yield space, range(space.omega + 1)
+                yield HistorySpace(causet, q)
+
+
+@pytest.mark.parametrize("family_size", [2, 3, 4])
+def test_axiom2_matches_the_family_sweep_oracle(family_size):
+    # canonical doms count axiom 2 in closed form; the oracle sweeps every
+    # family outside the full-region group, with doms from brute_dom
+    doms = {}
+    for space in _exhaustive_spaces():
+        shape = (space.causet.n, space.q)
+        if shape not in doms:
+            doms[shape] = [brute_dom(space, e) for e in range(space.omega + 1)]
+        universe = range(space.omega + 1)
+        report = check_dom_axioms(space, CANON, family_size, axioms=(2,))
+        expected = brute_axiom2(space, universe, doms[shape].__getitem__, family_size)
+        assert report.to_json(space)["axioms"][0] == expected
+        assert expected["passed"]
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 2)])
+def test_axiom2_on_a_spelled_out_map_matches_the_family_sweep_oracle(q, n):
+    # explicit doms keep the sweep: the canonical map spelled out passes,
+    # and dropping one element from some doms fails on the oracle's family
+    space = HistorySpace(validate_causet([f"e{i}" for i in range(n)], []), q)
+    universe = range(space.omega + 1)
+    outcomes = set()
+    for dom_of in (space.canonical_dom, lambda e: space.canonical_dom(e) & ~(1 << e % n)):
+        dom = DomMap.explicit({e: dom_of(e) for e in universe})
+        report = check_dom_axioms(space, dom, axioms=(2,)).to_json(space)["axioms"][0]
+        assert report == brute_axiom2(space, universe, dom_of, 3)
+        outcomes.add(report["passed"])
+    assert outcomes == {False, True}
+
+
+def _axiom4_spaces():
+    # every exhaustive space with all of its events, then every 4-causet
+    # (q = 2) with 100 sampled events
+    for space in _exhaustive_spaces():
+        yield space, range(space.omega + 1)
     for idx, causet in enumerate(enumerate_causets(4)):
         space = HistorySpace(causet, 2)
         yield space, sample_events(space, 100, f"axiom4:{idx}")

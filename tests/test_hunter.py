@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import random
@@ -22,7 +23,7 @@ from causetlab import (
 from causetlab import hunter
 from causetlab.hunter import _representatives, canonical_form
 
-from oracles import brute_canonical_form, brute_poset_count
+from oracles import brute_automorphisms, brute_canonical_form, brute_poset_count
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -124,7 +125,35 @@ def test_deletion_pruning_keeps_every_class(monkeypatch):
         assert hunter._representatives(n) == sorted(unpruned)
     # the last run, from a cleared cache, enumerated every size up to 6;
     # the count is pinned so that losing part of the pruning shows
-    assert calls[0] == 582 < candidates
+    assert calls[0] == 423 < candidates
+
+
+def _generated_group(gens, n):
+    group = {tuple(range(n))}
+    frontier = list(group)
+    for g in frontier:
+        for h in gens:
+            gh = tuple(h[i] for i in g)
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    return group
+
+
+def test_automorphism_generators_generate_the_whole_group():
+    for n in range(1, 6):
+        for rows in _representatives(n):
+            group = _generated_group(hunter._automorphisms(rows), n)
+            assert group == set(brute_automorphisms(rows))
+
+
+def test_automorphism_groups_count_the_labeled_posets():
+    # orbit-stabilizer: each class has n!/|Aut| labelings (OEIS A001035)
+    for n, labeled in zip(range(1, 7), (1, 3, 19, 219, 4231, 130023)):
+        assert sum(
+            math.factorial(n) // len(_generated_group(hunter._automorphisms(rows), n))
+            for rows in _representatives(n)
+        ) == labeled
 
 
 # sha256 of repr(_representatives(n)) for n = 1..7, as first enumerated
