@@ -59,6 +59,7 @@ from .causet import Causet, _bits
 from .errors import LimitError
 from .histories import HistorySpace
 from .measure import MeasureTable
+from .modelio import model_from_data
 from .principles import (
     PRINCIPLES,
     Caps,
@@ -574,11 +575,5 @@ def replay_finding(finding: dict | Finding) -> str:
     bits."""
     data = finding.to_json() if isinstance(finding, Finding) else finding
     fp = data["fingerprint"]
-    causet = Causet.from_relations(
-        fp["causet"]["elements"], [tuple(p) for p in fp["causet"]["relations"]]
-    )
-    space = HistorySpace(causet, fp["alphabet"])
-    measure = MeasureTable.from_weights(space, fp["measure"]["weights"])
-    model = Model.build(space, measure)
     caps = Caps(fp["caps"]["region_size"], fp["caps"]["algebra"])
-    return implication_matrix(model, caps, fp["zero_mode"]).bits
+    return implication_matrix(model_from_data(fp), caps, fp["zero_mode"]).bits

@@ -16,27 +16,31 @@ textbook derivation of SO2 from SO1, including the final set-coverage
 comparison that the derivation itself leaves open.
 
 A sweep has two parts. Its plan (`_SweepPlan`) is everything the measure
-does not decide: the spacelike pairs in sweep order and, per screener family
-(p1 or p2, built on first use), the events both sides of each pair range
-over (`_decision_events`), the screeners and the verdict counts they fix.
-It depends only on the history space, the dom and the caps, so plans of
-canonical doms are cached per space and caps (weakly: a plan goes with its
-space) and every measure on a space shares one; explicit dom maps are
-planned afresh on every call. A plan also keeps, per region, the capped
-Gamma that witnesses are listed over. No measure's outcome reaches a plan.
-The evaluation (`_evaluate`) only does mass work: canonical doms are decided
-on pairs of Phi cells, explicit doms event by event, both through the
-screening kernel `measure._screen_failures`. A verdict keeps only the
-failing pairs and lists its witnesses, every failing event triple of the
-sweep, lazily from them. Replication steps 1-2 are decided on the same
-events and list their failures only for a failing screener block.
+does not decide: per screener family (p1 or p2, built on first use), one
+`_PairPlan` per spacelike pair in sweep order, with the events both sides
+range over (`_decision_events`), the screeners and how many event pairs
+they cover. Pairs the region cap skips and pairs with an empty side are
+flagged and never evaluated. A plan depends only on the history space, the
+dom and the caps, so plans of canonical doms are cached per space and caps
+(weakly: a plan goes with its space) and every measure on a space shares
+one; explicit dom maps are planned afresh on every call. A plan also keeps,
+per region, the capped Gamma that witnesses are listed over. No measure's
+outcome reaches a plan. The evaluation (`_decider`) only does mass work:
+canonical doms are decided on pairs of Phi cells, explicit doms event by
+event, both through the screening kernel `measure._screen_failures`. A
+verdict is summed in one pass over its family's pair plans (`_assemble`),
+keeps only the failing pairs and lists its witnesses, every failing event
+triple of the sweep, lazily from them. Replication steps 1-2 are decided
+on the same events and list their failures only for a failing screener
+block.
 
 Verdicts are deterministic: identical model and caps give byte-identical
 reports. Every decision is replayed where it is made (`_replayed`): each
 failing screener's recorded pairs together, and each zero-mass screener,
 on integer history masses summed without the partial-sum tables
 (`measure.replay_screen_failures`), and so is every listed witness outside
-those records. `Fraction` sides are built only for listed witnesses.
+those records, and every failing block and zero-mass skip of replication
+steps 1-2. `Fraction` sides are built only for listed witnesses.
 
 `check_principle`, `implication_matrix` and `replicate_so1_to_so2` sweep in
 full. The hunter needs only each principle's bit and first witness, so
@@ -269,35 +273,26 @@ class _FamilyOutcome(NamedTuple):
     zero_screeners: tuple[Event, ...] = ()
 
 
-class _FamilyPlan(NamedTuple):
-    """What one family's decision on a region pair with nonempty sides ranges
-    over, for every measure: the events of both sides (`_decision_events`),
-    take_a * take_b, whether a cap cut either algebra short, and the
-    screeners Phi(past) of the screener region `past`."""
+class _PairPlan(NamedTuple):
+    """One screener family on one spacelike pair, for every measure: the
+    screener region `past`, the events the decision on both sides ranges
+    over (`_decision_events`), how many event pairs the capped Gammas form,
+    whether a cap cut either algebra short, and the screeners Phi(past) with
+    their number. A pair the region cap skips (`skipped`) or with an empty
+    side (`trivial`) is never evaluated; a skipped pair holds no counts."""
 
-    events_a: tuple[Event, ...]
-    events_b: tuple[Event, ...]
-    event_pairs: int
-    truncated: bool
-    past: Region
-    screeners: tuple[Event, ...]
-
-
-class _TrivialPlan(NamedTuple):
-    """A region pair with an empty side, which no measure can fail: what its
-    every screening test ranges over, and whether a cap cut an algebra."""
-
-    event_pairs: int
-    screeners: int
-    truncated: bool
-
-
-class _PlanPair(NamedTuple):
     ra: Region
     rb: Region
     finite: bool
-    trivial: bool
     skipped: bool
+    trivial: bool
+    past: Region
+    events_a: tuple[Event, ...] = ()
+    events_b: tuple[Event, ...] = ()
+    event_pairs: int = 0
+    truncated: bool = False
+    screeners: tuple[Event, ...] = ()
+    screener_count: int = 0
 
 
 _COUNT_KEYS = (
@@ -309,18 +304,6 @@ _COUNT_KEYS = (
     "screening_tests",
     "zero_screeners",
 )
-
-
-class _Family(NamedTuple):
-    """One screener family of a plan. `nonempty` holds the pairs with both
-    sides nonempty that are not skipped, in sweep order, each with its
-    `_FamilyPlan`. `totals[finite_only]` holds a verdict's counts, as
-    (key, value) items, and its capped flag, over all the pairs it ranges
-    over, except what a measure decides: the screening tests of the nonempty
-    pairs (zero-mass screeners are not tested) and the zero screeners."""
-
-    nonempty: tuple[tuple[_PlanPair, _FamilyPlan], ...]
-    totals: tuple[tuple[tuple[tuple[str, int], ...], bool], ...]
 
 
 def _algebra_size(space: HistorySpace, region: Region, cap: int) -> tuple[int, bool]:
@@ -349,31 +332,47 @@ def _decision_events(
     return tuple(events), len(events), truncated
 
 
-def _family_plan(
-    space: HistorySpace, dom: DomMap, ra: Region, rb: Region, screener_region: Region, cap: int
-) -> _FamilyPlan:
-    events_a, take_a, trunc_a = _decision_events(space, dom, ra, cap)
-    events_b, take_b, trunc_b = _decision_events(space, dom, rb, cap)
-    if dom.is_canonical:
-        screeners = space.phi_cells(screener_region)
+def _pair_plan(
+    space: HistorySpace,
+    dom: DomMap,
+    ra: Region,
+    rb: Region,
+    finite: bool,
+    skipped: bool,
+    past: Region,
+    cap: int,
+) -> _PairPlan:
+    """The plan of (ra, rb) with screener region `past` under algebra cap
+    `cap`. Under a canonical dom, a pair with an empty side ranges only over
+    events in {empty, Omega}, for which mu(A&B|C) = mu(A|C)mu(B|C) holds
+    identically, for every measure: nothing is built for it, but its
+    coverage is real and counted in closed form, and a cap that cuts either
+    algebra short marks the verdict capped. Under an explicit map, the map's
+    own Gamma and Phi count it."""
+    if skipped:
+        return _PairPlan(ra, rb, finite, True, False, past)
+    trivial = not (ra and rb)
+    if trivial and dom.is_canonical:
+        (take_a, trunc_a), (take_b, trunc_b) = _algebra_size(space, ra, cap), _algebra_size(space, rb, cap)
+        events_a = events_b = screeners = ()
+        count = space.q ** _popcount(past)
     else:
-        screeners = tuple(full_specifications(space, dom, screener_region))
-    return _FamilyPlan(events_a, events_b, take_a * take_b, trunc_a or trunc_b, screener_region, screeners)
-
-
-def _trivial_plan(space: HistorySpace, ra: Region, rb: Region, screener_region: Region, cap: int) -> _TrivialPlan:
-    # A pair with an empty side only ranges over events in {empty, Omega},
-    # and mu(A&B|C) = mu(A|C)mu(B|C) holds identically for those, for every
-    # measure: nothing to evaluate, but the coverage is real and counted,
-    # and a cap that cuts either algebra short marks the verdict capped.
-    size_a, trunc_a = _algebra_size(space, ra, cap)
-    size_b, trunc_b = _algebra_size(space, rb, cap)
-    return _TrivialPlan(size_a * size_b, space.q ** _popcount(screener_region), trunc_a or trunc_b)
+        events_a, take_a, trunc_a = _decision_events(space, dom, ra, cap)
+        events_b, take_b, trunc_b = _decision_events(space, dom, rb, cap)
+        if dom.is_canonical:
+            screeners = space.phi_cells(past)
+        else:
+            screeners = tuple(full_specifications(space, dom, past))
+        count = len(screeners)
+    return _PairPlan(
+        ra, rb, finite, False, trivial, past, events_a, events_b, take_a * take_b, trunc_a or trunc_b,
+        screeners, count,
+    )
 
 
 class _SweepPlan:
-    """The measure-independent part of a sweep: every spacelike pair in sweep
-    order and, per family ("p1" or "p2"), its `_Family`, both built on first
+    """The measure-independent part of a sweep: per family ("p1" or "p2"),
+    the `_PairPlan` of every spacelike pair in sweep order, built on first
     use, and the capped Gamma list of each region something is listed over.
     It holds no reference to its space, so a cached plan does not keep the
     space alive."""
@@ -382,19 +381,9 @@ class _SweepPlan:
         self._causet = causet
         self._dom = dom
         self._caps = caps
-        self._families: dict[str, _Family] = {}
+        self._finite = cache(causet.is_causally_finite)
+        self._families: dict[str, tuple[_PairPlan, ...]] = {}
         self._gamma: dict[Region, list[Event]] = {}
-
-    @cached_property
-    def pairs(self) -> tuple[_PlanPair, ...]:
-        causet, size = self._causet, self._caps.region_size
-        finite = cache(causet.is_causally_finite)
-        pairs = []
-        for ra, rb in causet.spacelike_pairs():
-            trivial = ra == 0 or rb == 0
-            skipped = not trivial and (_popcount(ra) > size or _popcount(rb) > size)
-            pairs.append(_PlanPair(ra, rb, finite(ra) and finite(rb), trivial, skipped))
-        return tuple(pairs)
 
     def gamma(self, space: HistorySpace, region: Region) -> list[Event]:
         """The capped Gamma(region), in the sweep's order."""
@@ -403,53 +392,20 @@ class _SweepPlan:
             got = self._gamma[region] = gamma_capped(space, self._dom, region, self._caps.algebra)[0]
         return got
 
-    def family(self, space: HistorySpace, fam: str) -> _Family:
+    def family(self, space: HistorySpace, fam: str) -> tuple[_PairPlan, ...]:
         got = self._families.get(fam)
         if got is None:
-            causet, dom, cap = self._causet, self._dom, self._caps.algebra
+            causet, finite, size = self._causet, self._finite, self._caps.region_size
             past = causet.mutual_past if fam == "p1" else causet.truncated_joint_past
-            # None for a skipped pair, the trivial plan of a pair with an
-            # empty side, the family plan of any other
-            entries = [
-                None if p.skipped
-                else _trivial_plan(space, p.ra, p.rb, past(p.ra, p.rb), cap) if p.trivial
-                else _family_plan(space, dom, p.ra, p.rb, past(p.ra, p.rb), cap)
-                for p in self.pairs
-            ]
-            got = self._families[fam] = _Family(
-                tuple((p, e) for p, e in zip(self.pairs, entries) if isinstance(e, _FamilyPlan)),
-                _totals(self.pairs, entries),
+            got = self._families[fam] = tuple(
+                _pair_plan(
+                    space, self._dom, ra, rb, finite(ra) and finite(rb),
+                    bool(ra and rb) and max(_popcount(ra), _popcount(rb)) > size,
+                    past(ra, rb), self._caps.algebra,
+                )
+                for ra, rb in causet.spacelike_pairs()
             )
         return got
-
-
-def _totals(
-    pairs: Sequence[_PlanPair], entries: Sequence[_TrivialPlan | _FamilyPlan | None]
-) -> tuple[tuple[tuple[tuple[str, int], ...], bool], ...]:
-    """The measure-independent counts and capped flag of a verdict over all
-    pairs, then over the causally finite pairs only."""
-    totals = []
-    for finite_only in (False, True):
-        counts = dict.fromkeys(_COUNT_KEYS, 0)
-        capped = False
-        for pair, entry in zip(pairs, entries):
-            if finite_only and not pair.finite:
-                continue
-            if entry is None:
-                counts["region_pairs_skipped"] += 1
-                capped = True
-                continue
-            counts["region_pairs"] += 1
-            counts["event_pairs"] += entry.event_pairs
-            capped = capped or entry.truncated
-            if isinstance(entry, _FamilyPlan):
-                counts["region_pairs_nonempty"] += 1
-                counts["screeners"] += len(entry.screeners)
-            else:
-                counts["screeners"] += entry.screeners
-                counts["screening_tests"] += entry.event_pairs * entry.screeners
-        totals.append((tuple(counts.items()), capped))
-    return tuple(totals)
 
 
 # Plans of canonical doms, per history space and caps; an entry goes with its
@@ -469,14 +425,14 @@ def _plan(space: HistorySpace, dom: DomMap, caps: Caps) -> _SweepPlan:
 
 
 def _screened(
-    measure: MeasureTable, ra: Region, rb: Region, plan: _FamilyPlan, first_only: bool
+    measure: MeasureTable, ra: Region, rb: Region, plan: _PairPlan, first_only: bool
 ) -> Iterator[_FamilyOutcome]:
     """Screening decision over Gamma(ra) x Gamma(rb) x Phi(screener region),
     on the events and screeners of `plan`, screener by screener: one outcome
     per failing screener, holding it and the zero-mass screeners met since
     the previous one, then one holding the zero-mass screeners after the
     last. The first outcome is the decision up to the first failing
-    screener; all of them, joined (`_evaluate`), are the whole decision.
+    screener; all of them, joined, are the whole decision (`_decider`).
 
     Canonical doms: every event of Gamma(R) is a union of Phi(R) cells, and
     mu(A&B&C) mu(C) - mu(A&C) mu(B&C) is bilinear in the cell indicators of
@@ -499,18 +455,6 @@ def _screened(
     yield _FamilyOutcome((), tuple(zero))
 
 
-def _evaluate(
-    measure: MeasureTable, ra: Region, rb: Region, plan: _FamilyPlan, first_only: bool
-) -> _FamilyOutcome:
-    """The whole screening decision on one pair: `_screened` read to the end."""
-    failing: list[Failure] = []
-    zero: list[Event] = []
-    for outcome in _screened(measure, ra, rb, plan, first_only):
-        failing += outcome.failing
-        zero += outcome.zero_screeners
-    return _FamilyOutcome(tuple(failing), tuple(zero))
-
-
 def _replayed(measure: MeasureTable, outcome: _FamilyOutcome) -> _FamilyOutcome:
     """`outcome` once its decisions hold on direct history masses
     (`replay_screen_failures`): each failing screener's recorded pairs,
@@ -522,14 +466,44 @@ def _replayed(measure: MeasureTable, outcome: _FamilyOutcome) -> _FamilyOutcome:
     return outcome
 
 
+def _decider(model: Model, whole: bool) -> Callable[[_PairPlan], _FamilyOutcome]:
+    """The model's measure deciding pair plans that are neither skipped nor
+    trivial: `_screened` read to the end (`whole`) or up to its first
+    outcome, replayed (`_replayed`) as it is decided. Decisions are kept per
+    (ra, rb, past), so SOk and FIN-SOk share each one, as do the two
+    families on a pair whose mutual and truncated joint pasts coincide."""
+    measure = model.measure
+    first_only = not model.dom.is_canonical
+    decided: dict[tuple[Region, Region, Region], _FamilyOutcome] = {}
+
+    def decide(plan: _PairPlan) -> _FamilyOutcome:
+        key = plan.ra, plan.rb, plan.past
+        outcome = decided.get(key)
+        if outcome is None:
+            outcomes = _screened(measure, plan.ra, plan.rb, plan, first_only)
+            if whole:
+                outcomes = list(outcomes)
+                outcome = _FamilyOutcome(
+                    tuple(f for o in outcomes for f in o.failing),
+                    tuple(c for o in outcomes for c in o.zero_screeners),
+                )
+            else:
+                outcome = next(outcomes)
+            outcome = decided[key] = _replayed(measure, outcome)
+        return outcome
+
+    return decide
+
+
 def _eval_family(
     model: Model, ra: Region, rb: Region, screener_region: Region, cap: int
 ) -> tuple[bool, _FamilyOutcome]:
-    """Whether a cap cut either algebra short, and one family's decision on
-    one pair, planned, evaluated and replayed at once."""
-    plan = _family_plan(model.space, model.dom, ra, rb, screener_region, cap)
-    outcome = _evaluate(model.measure, ra, rb, plan, not model.dom.is_canonical)
-    return plan.truncated, _replayed(model.measure, outcome)
+    """Whether a cap cut either algebra short, and one family's whole
+    decision on one pair, with no region cap: the replication precheck. A
+    canonical pair with an empty side plans no screeners, so nothing fails
+    on it; an explicit map's is decided like any other pair."""
+    plan = _pair_plan(model.space, model.dom, ra, rb, False, False, screener_region, cap)
+    return plan.truncated, _decider(model, True)(plan)
 
 
 def _witnesses(
@@ -549,51 +523,42 @@ def _witnesses(
             yield Witness(principle, ra, rb, a, b, c, *screening_sides(measure, a, b, c))
 
 
-def _sweep(
-    model: Model, caps: Caps, families: tuple[str, ...]
-) -> tuple[_SweepPlan, dict[str, list[_FamilyOutcome]]]:
-    """The model's plan and, per family, the replayed outcome of the model's
-    measure on each of the family's nonempty pairs. Where a pair's mutual
-    and truncated joint pasts coincide, both families decide the same thing,
-    so it is evaluated and replayed once."""
-    space, measure = model.space, model.measure
-    plan = _plan(space, model.dom, caps)
-    first_only = not model.dom.is_canonical
-    evaluated: dict[tuple[Region, Region, Region], _FamilyOutcome] = {}
-    swept = {}
-    for fam in families:
-        outcomes = swept[fam] = []
-        for pair, entry in plan.family(space, fam).nonempty:
-            key = (pair.ra, pair.rb, entry.past)
-            result = evaluated.get(key)
-            if result is None:
-                result = evaluated[key] = _replayed(
-                    measure, _evaluate(measure, pair.ra, pair.rb, entry, first_only)
-                )
-            outcomes.append(result)
-    return plan, swept
-
-
 def _assemble(
-    model: Model, plan: _SweepPlan, principle: str, outcomes: list[_FamilyOutcome], zero_mode: str
+    model: Model,
+    plan: _SweepPlan,
+    principle: str,
+    decide: Callable[[_PairPlan], _FamilyOutcome],
+    zero_mode: str,
 ) -> Verdict:
-    """One principle's verdict: its family's totals, plus what the measure
-    decided on each nonempty pair."""
+    """One principle's verdict in one pass over its family's pair plans:
+    every count and the capped flag, and what `decide` makes of each pair
+    that is neither skipped nor trivial."""
     finite_only = _FINITE_ONLY[principle]
-    family = plan.family(model.space, _FAMILY[principle])
-    items, capped = family.totals[finite_only]
-    counts = dict(items)
+    counts = dict.fromkeys(_COUNT_KEYS, 0)
+    capped = False
     failures: list[Failure] = []
     zero_cells: list[tuple[Region, Region, Event]] = []
-    for (pair, entry), result in zip(family.nonempty, outcomes):
+    for pair in plan.family(model.space, _FAMILY[principle]):
         if finite_only and not pair.finite:
             continue
-        zero = len(result.zero_screeners)
-        counts["screening_tests"] += entry.event_pairs * (len(entry.screeners) - zero)
-        counts["zero_screeners"] += zero
-        failures.extend(result.failing)
-        if zero_mode == "strict":
-            zero_cells.extend((pair.ra, pair.rb, c) for c in result.zero_screeners)
+        if pair.skipped:
+            counts["region_pairs_skipped"] += 1
+            capped = True
+            continue
+        counts["region_pairs"] += 1
+        counts["event_pairs"] += pair.event_pairs
+        counts["screeners"] += pair.screener_count
+        capped = capped or pair.truncated
+        zero = 0
+        if not pair.trivial:
+            outcome = decide(pair)
+            zero = len(outcome.zero_screeners)
+            counts["region_pairs_nonempty"] += 1
+            counts["zero_screeners"] += zero
+            failures.extend(outcome.failing)
+            if zero_mode == "strict":
+                zero_cells.extend((pair.ra, pair.rb, c) for c in outcome.zero_screeners)
+        counts["screening_tests"] += pair.event_pairs * (pair.screener_count - zero)
     warning = None
     if not model.axiom_ok:
         warning = "dom axioms violated on this model; verdict computed under force"
@@ -631,9 +596,8 @@ def check_principle(
     if which not in PRINCIPLES:
         raise ValueError(f"unknown principle {which!r}")
     caps = caps or Caps()
-    fam = _FAMILY[which]
-    plan, swept = _sweep(model, caps, (fam,))
-    return _assemble(model, plan, which, swept[fam], zero_mode)
+    plan = _plan(model.space, model.dom, caps)
+    return _assemble(model, plan, which, _decider(model, True), zero_mode)
 
 
 @dataclass(frozen=True)
@@ -684,8 +648,9 @@ def implication_matrix(
     replayed as it is listed.
     """
     caps = caps or Caps()
-    plan, swept = _sweep(model, caps, ("p1", "p2"))
-    verdicts = {p: _assemble(model, plan, p, swept[_FAMILY[p]], zero_mode) for p in PRINCIPLES}
+    plan = _plan(model.space, model.dom, caps)
+    decide = _decider(model, True)
+    verdicts = {p: _assemble(model, plan, p, decide, zero_mode) for p in PRINCIPLES}
     _check_subset_implications({p: verdicts[p].satisfied for p in PRINCIPLES})
     implications = {}
     for p in PRINCIPLES:
@@ -722,27 +687,22 @@ def first_witnesses(model: Model, caps: Caps | None = None) -> dict[str, Witness
     families, and SOk satisfied with FIN-SOk violated aborts.
     """
     caps = caps or Caps()
-    space, measure = model.space, model.measure
-    plan = _plan(space, model.dom, caps)
-    first_only = not model.dom.is_canonical
-    decided: dict[tuple[Region, Region, Region], _FamilyOutcome] = {}
+    plan = _plan(model.space, model.dom, caps)
+    decide = _decider(model, False)
     first: dict[str, Failure] = {}
     for fam in ("p1", "p2"):
         ranging = [p for p in PRINCIPLES if _FAMILY[p] == fam]
-        for pair, entry in plan.family(space, fam).nonempty:
+        for pair in plan.family(model.space, fam):
+            if pair.skipped or pair.trivial:
+                continue
             if all(p in first for p in ranging):
                 break
             open_here = [p for p in ranging if p not in first and (pair.finite or not _FINITE_ONLY[p])]
             if not open_here:
                 continue
-            key = (pair.ra, pair.rb, entry.past)
-            result = decided.get(key)
-            if result is None:
-                result = decided[key] = _replayed(
-                    measure, next(_screened(measure, pair.ra, pair.rb, entry, first_only))
-                )
-            if result.failing:
-                first.update(dict.fromkeys(open_here, result.failing[0]))
+            outcome = decide(pair)
+            if outcome.failing:
+                first.update(dict.fromkeys(open_here, outcome.failing[0]))
     _check_subset_implications({p: p not in first for p in PRINCIPLES})
     return {
         p: next(_witnesses(model, plan, p, (first[p],))) if p in first else None
@@ -837,10 +797,12 @@ def replicate_so1_to_so2(
     Step 3: C&X&Y is a (nonempty) full specification of P2(ra, rb).
 
     Steps 1-2 are decided per (X, Y, C) block on cells, like the sweep; only
-    a failing block lists its failures over the capped Gamma. With canonical
-    doms and an untruncated precheck they follow from SO1 on the enlarged
-    pair (decomposition, weak union), so a failure there raises
-    InternalConsistencyError.
+    a failing block lists its failures over the capped Gamma. Like the
+    sweep's decisions, each failing block's listed pairs are replayed
+    together (`replay_screen_failures`), and so is the zero mass of each C
+    or K that skips a block. With canonical doms and an untruncated
+    precheck steps 1-2 follow from SO1 on the enlarged pair (decomposition,
+    weak union), so a failure there raises InternalConsistencyError.
     """
     caps = caps or Caps()
     space, measure, dom, causet = model.space, model.measure, model.dom, model.causet
@@ -884,18 +846,24 @@ def replicate_so1_to_so2(
                     })
                 # K lies inside C, so mu(K) > 0 only if mu(C) > 0
                 if measure.mass(cell_c) == 0:
+                    replay_screen_failures(measure, cell_c, ())
                     continue
                 checked1 += 1 + 3 * take_a * take_b
                 block = (cell_x, cell_y, cell_c)
                 if next(_step1_failures(measure, events_a, events_b, *block), None):
-                    for kind, e1, e2 in _step1_failures(measure, gamma(ra), gamma(rb), *block):
+                    found = list(_step1_failures(measure, gamma(ra), gamma(rb), *block))
+                    replay_screen_failures(measure, cell_c, [(e1, e2) for _, e1, e2 in found])
+                    for kind, e1, e2 in found:
                         side1, side2 = ("x", "y") if kind == "X,Y" else ("event_1", "event_2")
                         step1.append({"pair": kind, side1: keys(e1), side2: keys(e2), "screener": keys(cell_c)})
                 if measure.mass(k) == 0:
+                    replay_screen_failures(measure, k, ())
                     continue
                 checked2 += take_a * take_b
                 if next(_screen_failures(measure, events_a, events_b, k), None):
-                    for a, b in _screen_failures(measure, gamma(ra), gamma(rb), k):
+                    found = list(_screen_failures(measure, gamma(ra), gamma(rb), k))
+                    replay_screen_failures(measure, k, found)
+                    for a, b in found:
                         joint, product = screening_sides(measure, a, b, k)
                         step2.append({"a": keys(a), "b": keys(b), "k": keys(k), "lhs": product, "rhs": joint})
     if (step1 or step2) and dom.is_canonical and not any(truncated for truncated, _ in prechecks):

@@ -27,6 +27,7 @@ from causetlab import (
     replicate_so1_to_so2,
     validate_causet,
 )
+from causetlab.histories import gamma_capped
 
 from oracles import brute_gamma, brute_screens
 from test_kernel_oracles import small_models
@@ -264,15 +265,15 @@ def test_matrix_replays_each_distinct_failing_triple_once(monkeypatch):
 def test_matrix_rejects_a_tampered_recorded_pair(monkeypatch):
     import causetlab.principles as principles
 
-    real = principles._evaluate
+    real = principles._screened
 
     def tampered(*args):
-        out = real(*args)
-        # the empty event pair screens off under every screener
-        failing = tuple((ra, rb, c, ((0, 0),) + pairs[1:]) for ra, rb, c, pairs in out.failing)
-        return out._replace(failing=failing)
+        for out in real(*args):
+            # the empty event pair screens off under every screener
+            failing = tuple((ra, rb, c, ((0, 0),) + pairs[1:]) for ra, rb, c, pairs in out.failing)
+            yield out._replace(failing=failing)
 
-    monkeypatch.setattr(principles, "_evaluate", tampered)
+    monkeypatch.setattr(principles, "_screened", tampered)
     with pytest.raises(InternalConsistencyError, match="screens off on replay"):
         implication_matrix(_v_copy_model())
 
@@ -337,13 +338,13 @@ def test_a_pair_whose_two_pasts_coincide_is_evaluated_once(monkeypatch):
     import causetlab.principles as principles
 
     calls = []
-    real = principles._evaluate
+    real = principles._screened
 
     def counted(measure, ra, rb, *rest):
         calls.append((ra, rb))
         return real(measure, ra, rb, *rest)
 
-    monkeypatch.setattr(principles, "_evaluate", counted)
+    monkeypatch.setattr(principles, "_screened", counted)
     space = HistorySpace(_V4, 2)
     implication_matrix(Model.build(space, MeasureTable.uniform(space)))
     pairs = [(ra, rb) for ra, rb in _V4.spacelike_pairs(max_size=3) if ra and rb]
@@ -519,6 +520,28 @@ def test_each_explicit_dom_is_judged_on_its_own(anti2_space, perf):
         assert Model.build(anti2_space, perf, DomMap.explicit(valid)).axiom_ok
 
 
+def test_an_explicit_map_counts_pairs_with_an_empty_side_by_its_own_gamma(anti2_space):
+    # Omega, the empty event and the four value cylinders: Gamma({x, y}) has
+    # 6 events under this map, not the canonical 16, and the pair
+    # (empty, {x, y}) ranges over 2 * 6 event pairs
+    space = anti2_space
+    events = [0, space.omega] + [space.cylinder({e: v}) for e in "xy" for v in (0, 1)]
+    dom = DomMap.explicit({e: space.canonical_dom(e) for e in events})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AxiomViolationWarning)
+        model = Model.build(space, MeasureTable.uniform(space), dom, force=True)
+    causet, cap = space.causet, Caps().algebra
+    pairs = list(causet.spacelike_pairs())
+    for principle, past in (("so1", causet.mutual_past), ("so2", causet.truncated_joint_past)):
+        counts = check_principle(model, principle).counts
+        assert counts["event_pairs"] == sum(
+            len(gamma_capped(space, dom, ra, cap)[0]) * len(gamma_capped(space, dom, rb, cap)[0])
+            for ra, rb in pairs
+        )
+        assert counts["screeners"] == sum(len(full_specifications(space, dom, past(*p))) for p in pairs)
+    assert check_principle(model, "so1").counts["event_pairs"] == 48
+
+
 def test_explicit_dom_model_checkable(anti2_space, perf):
     # a *valid* explicit dom map (the canonical one, spelled out) works end to end
     mapping = {e: anti2_space.canonical_dom(e) for e in range(anti2_space.omega + 1)}
@@ -557,6 +580,19 @@ def test_replicate_not_applicable_when_so1_fails(anti2_perf_model):
     assert report.precheck_failures > 0
     assert report.steps == ()
     assert report.to_json(anti2_perf_model)["steps"] == "not-applicable"
+
+
+def test_replication_steps_replay_what_they_decide():
+    # x < a, y < b, uniform: a table mass of {x=0, y=0} raised by one fails
+    # step 1 (on X, Y) and step 2 (on K = X & Y) on the tables only, after a
+    # truncated precheck the tampering does not reach
+    causet = validate_causet(["x", "y", "a", "b"], [("x", "a"), ("y", "b")])
+    model = _uniform_model(causet)
+    target = model.space.cylinder({"x": 0, "y": 0})
+    table_mass = model.measure.mass
+    model.measure.mass = lambda e: table_mass(e) + (e == target)
+    with pytest.raises(InternalConsistencyError, match="differ from the history masses"):
+        replicate_so1_to_so2(model, causet.region("a"), causet.region("b"), Caps(algebra=3))
 
 
 def test_replicate_requires_spacelike(chain2):
