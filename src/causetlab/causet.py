@@ -26,9 +26,8 @@ safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     CycleError,
@@ -330,8 +329,7 @@ class Causet:
         return iter(range(self.full + 1))
 
 
-@dataclass(frozen=True)
-class CrucialIdentityReport:
+class CrucialIdentityReport(NamedTuple):
     region_a: Region
     region_b: Region
     flank_x: Region

@@ -25,9 +25,8 @@ fixing a value at every element of R, with Phi(empty) = {Omega}.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .causet import Causet, Region, _bits, _popcount
 from .errors import (
@@ -348,16 +347,14 @@ def sample_events(
 
 # -- dom axiom validation -------------------------------------------------
 
-@dataclass(frozen=True)
-class AxiomResult:
+class AxiomResult(NamedTuple):
     axiom: int
     passed: bool
     checked: int
     witness: dict | None = None
 
 
-@dataclass(frozen=True)
-class DomAxiomReport:
+class DomAxiomReport(NamedTuple):
     results: tuple[AxiomResult, ...]
     universe_size: int
     family_size: int

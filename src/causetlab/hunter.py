@@ -25,7 +25,8 @@ their successors and predecessors, only one is extended: swapping them is an
 automorphism fixing the placed prefix, so both give the same sequence (twin
 pruning). The prefixes left after the last depth are all the least
 labelings up to twin swaps, so the maps between them and the twin
-transpositions generate the automorphism group (`_automorphisms`).
+transpositions generate the automorphism group; the form keeps them, moved
+to its own positions (`_Canonical.automorphisms`).
 
 Enumeration extends each (n-1)-element representative by one new maximal
 element over every order ideal; every finite poset has a maximal element, so
@@ -49,11 +50,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import multiprocessing
 import os
-from dataclasses import asdict, dataclass, field, fields
 from functools import cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .causet import Causet, _bits
 from .errors import LimitError
@@ -74,46 +73,47 @@ HARD_ENUMERATION_LIMIT = 7
 
 FILTERS = ("nonempty-flanks", "finite-pair")
 
-_reps_cache: dict[int, list[tuple[int, ...]]] = {}
+_reps_cache: dict[int, list[_Canonical]] = {}
 
 
 # -- canonical form and enumeration ----------------------------------------
 
 
-def canonical_form(lt: Sequence[int]) -> tuple[int, ...]:
+class _Canonical(tuple):
+    """A canonical matrix that keeps generators of its automorphism group,
+    each as the tuple of images of its positions, from the search that
+    found it, so that enumeration need not search it again."""
+
+    automorphisms: tuple[tuple[int, ...], ...] = ()
+
+
+def canonical_form(lt: Sequence[int]) -> _Canonical:
     """Relabel a closed strict-order matrix (row i = mask of successors of i)
     to the form whose block sequence is least over all relabelings. The
     level-wise search keeps every least labeling up to twin swaps; all give
-    this same matrix, which is read off the first."""
-    order = _least_labelings(lt)[0][0]
+    this same matrix, which is read off the first. The maps from the first
+    to each other one and the twin transpositions, read on the form's
+    positions, generate its automorphism group (`automorphisms`)."""
+    orders, twin = _least_labelings(lt)
+    first = orders[0]
+    position = [0] * len(lt)
     out = []
-    for a in order:
+    for p, a in enumerate(first):
+        position[a] = p
         row = 0
         src = lt[a]
-        for b, u in enumerate(order):
+        for b, u in enumerate(first):
             row |= (src >> u & 1) << b
         out.append(row)
-    return tuple(out)
-
-
-def _automorphisms(rows: Sequence[int]) -> list[tuple[int, ...]]:
-    """Generators of the automorphism group of a closed strict-order matrix,
-    each as the tuple of element images: the maps from the first least
-    labeling to each other one, and the twin transpositions."""
-    orders, twin = _least_labelings(rows)
-    first = orders[0]
-    gens = []
-    for order in orders[1:]:
-        image = [0] * len(rows)
-        for a, b in zip(first, order):
-            image[a] = b
-        gens.append(tuple(image))
+    form = _Canonical(out)
+    gens = [tuple(position[a] for a in order) for order in orders[1:]]
     for o, t in enumerate(twin):
         if t != o:
-            image = list(range(len(rows)))
-            image[o], image[t] = t, o
+            image = list(range(len(lt)))
+            image[position[o]], image[position[t]] = position[t], position[o]
             gens.append(tuple(image))
-    return gens
+    form.automorphisms = tuple(gens)
+    return form
 
 
 def _least_labelings(lt: Sequence[int]) -> tuple[list[list[int]], list[int]]:
@@ -158,17 +158,20 @@ def _order_ideals(below: Sequence[int]) -> Iterator[int]:
             yield m
 
 
-def _representatives(n: int) -> list[tuple[int, ...]]:
-    """Canonical closed strict-order matrices of all n-element posets."""
+def _representatives(n: int) -> list[_Canonical]:
+    """Canonical closed strict-order matrices of all n-element posets, each
+    holding the automorphisms found by the search that canonicalised it."""
     cached = _reps_cache.get(n)
     if cached is not None:
         return cached
     if n == 0:
         reps: list[tuple[int, ...]] = [()]
     elif n == 1:
-        reps = [(0,)]
+        reps = [_Canonical((0,))]
     else:
-        seen: set[tuple[int, ...]] = set()
+        # a class met again keeps the form, and generators, it was first
+        # found with
+        seen: set[_Canonical] = set()
         new_bit = 1 << (n - 1)
         for base in _representatives(n - 1):
             below = [0] * (n - 1)
@@ -177,7 +180,7 @@ def _representatives(n: int) -> list[tuple[int, ...]]:
                     below[i] |= 1 << j
             # the base's maximal elements, with their down-set sizes
             maximal = [(below[i].bit_count(), 1 << i) for i, row in enumerate(base) if not row]
-            gens = _automorphisms(base)
+            gens = base.automorphisms
             tried: set[int] = set()
             for ideal in _order_ideals(below):
                 if ideal in tried:
@@ -246,20 +249,27 @@ def sample_measures(
 # -- search configuration and findings ---------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class _SearchFields(NamedTuple):
     max_elements: int
     alphabet_size: int = 2
     measures_per_model: int = 1
     seed: int = 0
     denominator_bound: int = 100
-    caps: Caps = field(default_factory=Caps)
+    caps: Caps = Caps()
     workers: int = 1
     filters: tuple[str, ...] = ()
     include_perfect: bool = False
     zero_mode: str = "vacuous"
 
-    def __post_init__(self):
+
+class SearchConfig(_SearchFields):
+    """A hunt's parameters, checked whenever one is built: by a caller, by
+    `_replace`, or by unpickling in a pool worker."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "SearchConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_elements < 1:
             raise ValueError("max_elements must be at least 1")
         if self.measures_per_model < 1:
@@ -269,6 +279,12 @@ class SearchConfig:
         for f in self.filters:
             if f not in FILTERS:
                 raise ValueError(f"unknown filter {f!r}; known: {', '.join(FILTERS)}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "SearchConfig":
+        # `_replace` builds through `_make`, which would skip the checks
+        return cls(*iterable)
 
     def to_json(self) -> dict:
         # workers deliberately omitted: it only affects scheduling, and the
@@ -291,8 +307,7 @@ def _digest(payload: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     index: int
     fingerprint: dict
     digest: str
@@ -412,16 +427,24 @@ def _hunt_causet(task: tuple[int, tuple[int, ...], SearchConfig]) -> dict:
     }
 
 
-@dataclass
 class _Totals:
     """Everything the summary counts, cumulative over the sweep so far. A
-    checkpoint records it, so a resumed summary equals an uninterrupted one."""
+    checkpoint records its attributes, so a resumed summary equals an
+    uninterrupted one."""
 
-    truth_table: dict[str, int] = field(default_factory=dict)
-    models: int = 0
-    skipped_causets: int = 0
-    findings: int = 0
-    tags_histogram: dict[str, int] = field(default_factory=dict)
+    def __init__(
+        self,
+        truth_table: dict[str, int] | None = None,
+        models: int = 0,
+        skipped_causets: int = 0,
+        findings: int = 0,
+        tags_histogram: dict[str, int] | None = None,
+    ):
+        self.truth_table = truth_table or {}
+        self.models = models
+        self.skipped_causets = skipped_causets
+        self.findings = findings
+        self.tags_histogram = tags_histogram or {}
 
     def add(self, result: dict) -> None:
         self.models += result["models"]
@@ -434,8 +457,7 @@ class _Totals:
                 self.tags_histogram[tag] = self.tags_histogram.get(tag, 0) + 1
 
 
-@dataclass
-class HuntReport:
+class HuntReport(NamedTuple):
     config: SearchConfig
     findings: list[dict]  # those emitted by this run; a resumed run repeats none
     truth_table: dict[str, int]
@@ -502,6 +524,8 @@ def hunt(
 
     processes = min(config.workers, _usable_cores(), len(pending))
     if processes > 1:
+        import multiprocessing  # only here: importing it costs a serial run ~10 ms
+
         with multiprocessing.Pool(processes) as pool:
             results: Iterator[dict] = pool.imap(_hunt_causet, pending, chunksize=1)
             _merge(results, findings, totals, checkpoint_path, config)
@@ -542,7 +566,7 @@ def _write_checkpoint(path: str, config: SearchConfig, last_index: int, totals: 
     state = {
         "config_digest": _checkpoint_digest(config),
         "last_completed_index": last_index,
-        **asdict(totals),
+        **vars(totals),
     }
     # write beside the checkpoint, then rename over it: a run that dies
     # mid-write leaves the previous checkpoint whole
@@ -563,7 +587,7 @@ def _read_checkpoint(path: str | None, config: SearchConfig) -> tuple[int, _Tota
         raise ValueError("resume requested without a checkpoint path")
     with open(path, encoding="utf-8") as fh:
         state = json.load(fh)
-    names = {f.name for f in fields(_Totals)}
+    names = vars(_Totals()).keys()
     # a checkpoint without every total cannot give the full summary either
     if state.get("config_digest") != _checkpoint_digest(config) or names - state.keys():
         raise ValueError("checkpoint belongs to a different hunt configuration")

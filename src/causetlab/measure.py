@@ -43,12 +43,11 @@ are undefined).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from math import gcd, lcm
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     CapExceededError,
@@ -265,11 +264,12 @@ def screening_sides(m: MeasureTable, a: Event, b: Event, c: Event) -> tuple[Frac
     return Fraction(m.mass(a & b & c), mc), Fraction(m.mass(a & c) * m.mass(b & c), mc * mc)
 
 
-@dataclass(frozen=True)
-class CommonCauseVerdict:
+class CommonCauseVerdict(NamedTuple):
     qualifies: bool
     failed_conditions: tuple[str, ...]
-    sides: dict[str, tuple[Fraction, Fraction]] = field(default_factory=dict)
+    # one empty default shared by the verdicts built without sides; no
+    # code mutates a verdict's sides
+    sides: dict[str, tuple[Fraction, Fraction]] = {}
     zero_screeners: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
@@ -329,8 +329,7 @@ def is_common_cause(
     return CommonCauseVerdict(not failed, tuple(failed), sides, tuple(zero))
 
 
-@dataclass(frozen=True)
-class CcsVerdict:
+class CcsVerdict(NamedTuple):
     qualifies: bool
     failure: dict | None = None
     zero_cells: tuple[int, ...] = ()

@@ -52,7 +52,6 @@ principle that holds is swept in full there too.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import islice
@@ -92,8 +91,7 @@ _FAMILY = {"so1": "p1", "so2": "p2", "fin-so1": "p1", "fin-so2": "p2"}
 _FINITE_ONLY = {"so1": False, "so2": False, "fin-so1": True, "fin-so2": True}
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     """Sweep limits: max region size per side, max events per region algebra."""
 
     region_size: int = 3
@@ -178,8 +176,7 @@ class Model:
         return cls(space, measure, dom, report)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """One recorded screening failure, re-evaluable from its masks alone."""
 
     principle: str
@@ -220,23 +217,41 @@ def replay_witness(model: Model, w: Witness) -> tuple[Fraction, Fraction]:
 Failure = tuple[Region, Region, Event, tuple[tuple[Event, Event], ...]]
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """One principle on one model. `failures` holds (region_a, region_b,
-    screener, pairs) once per failing screener: the Phi cell pairs it fails
-    on (canonical doms) or its first failing event pair (explicit doms).
-    `witnesses`, every failing event triple in sweep order, is listed from
-    them on first access; `iter_witnesses()` yields them one at a time.
-    """
-
+class _VerdictFields(NamedTuple):
     principle: str
     satisfied: bool
     capped: bool
     counts: dict[str, int]
     failures: tuple[Failure, ...]
-    iter_witnesses: Callable[[], Iterator[Witness]] = field(repr=False, compare=False)
     zero_screeners: tuple[tuple[Region, Region, Event], ...] = ()
     axiom_warning: str | None = None
+
+
+class Verdict(_VerdictFields):
+    """One principle on one model. `failures` holds (region_a, region_b,
+    screener, pairs) once per failing screener: the Phi cell pairs it fails
+    on (canonical doms) or its first failing event pair (explicit doms).
+    `witnesses`, every failing event triple in sweep order, is listed from
+    them on first access; `iter_witnesses()` yields them one at a time.
+    `iter_witnesses` is held beside the fields, in the instance dict that
+    also caches `witnesses`, so it is out of equality, `repr` and
+    `_asdict()`.
+    """
+
+    def __new__(cls, *args, iter_witnesses: Callable[[], Iterator[Witness]], **kwargs) -> "Verdict":
+        self = super().__new__(cls, *args, **kwargs)
+        vars(self)["iter_witnesses"] = iter_witnesses
+        return self
+
+    def __getnewargs_ex__(self) -> tuple[tuple, dict]:
+        # copying and unpickling build through __new__, which needs it
+        return tuple(self), {"iter_witnesses": self.iter_witnesses}
+
+    def _replace(self, **changes) -> "Verdict":
+        return Verdict(**{**self._asdict(), "iter_witnesses": self.iter_witnesses, **changes})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to Verdict.{name}")
 
     @cached_property
     def witnesses(self) -> tuple[Witness, ...]:
@@ -600,8 +615,7 @@ def check_principle(
     return _assemble(model, plan, which, _decider(model, True), zero_mode)
 
 
-@dataclass(frozen=True)
-class ImplicationMatrix:
+class ImplicationMatrix(NamedTuple):
     verdicts: dict[str, Verdict]
     implications: dict[str, bool]
 
@@ -713,8 +727,7 @@ def first_witnesses(model: Model, caps: Caps | None = None) -> dict[str, Witness
 # -- replication of the SO1 => SO2 derivation --------------------------------
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     step: int
     passed: bool
     checked: int
@@ -736,8 +749,7 @@ def _render_failure(f: dict) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ReplicationReport:
+class ReplicationReport(NamedTuple):
     region_a: Region
     region_b: Region
     applicable: bool
@@ -876,8 +888,7 @@ def replicate_so1_to_so2(
     return ReplicationReport(ra, rb, True, 0, steps)
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     """Comparison of {C&X&Y} against Phi(P2): the coverage question the
     SO1 => SO2 derivation leaves open. A mismatch is a research finding."""
 

@@ -29,7 +29,7 @@ These back the `theorems` CLI command and the acceptance tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .causet import _popcount
 from .errors import InternalConsistencyError, LabError, LimitError
@@ -54,8 +54,7 @@ from .principles import (
 from .hunter import HARD_ENUMERATION_LIMIT, enumerate_causets
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     checked: int
     failures: tuple[dict, ...]

@@ -141,9 +141,11 @@ def _generated_group(gens, n):
 
 
 def test_automorphism_generators_generate_the_whole_group():
+    # the generators each representative keeps from the search that
+    # canonicalised it, moved to its own positions
     for n in range(1, 6):
         for rows in _representatives(n):
-            group = _generated_group(hunter._automorphisms(rows), n)
+            group = _generated_group(rows.automorphisms, n)
             assert group == set(brute_automorphisms(rows))
 
 
@@ -151,7 +153,7 @@ def test_automorphism_groups_count_the_labeled_posets():
     # orbit-stabilizer: each class has n!/|Aut| labelings (OEIS A001035)
     for n, labeled in zip(range(1, 7), (1, 3, 19, 219, 4231, 130023)):
         assert sum(
-            math.factorial(n) // len(_generated_group(hunter._automorphisms(rows), n))
+            math.factorial(n) // len(_generated_group(rows.automorphisms, n))
             for rows in _representatives(n)
         ) == labeled
 
@@ -409,7 +411,7 @@ def test_partial_resume_completes_the_sweep(tmp_path):
     path = str(tmp_path / "part.ckpt")
     # simulate an interrupted run completed through causet index 3
     partial_tasks = 4
-    partial = hunt(SearchConfig(**{**cfg.__dict__, "max_elements": 3}), checkpoint_path=path)
+    partial = hunt(cfg._replace(max_elements=3), checkpoint_path=path)
     state = json.loads(open(path).read())
     state["last_completed_index"] = partial_tasks - 1
     # recompute the totals that belong to the first causets
@@ -475,6 +477,32 @@ def test_resume_rejects_checkpoint_without_summary_totals(tmp_path):
         path.write_text(json.dumps({k: v for k, v in state.items() if k != key}))
         with pytest.raises(ValueError, match="different hunt configuration"):
             hunt(cfg, checkpoint_path=str(path), resume=True)
+
+
+def test_checkpoint_bytes_and_resume_match_the_committed_fixture(tmp_path, monkeypatch, data_dir):
+    # the fixture was written by the earlier, dataclass-based totals: this
+    # hunt interrupted after causet index 3
+    fixture = data_dir / "hunt_n3_seed6.checkpoint.json"
+    cfg = SearchConfig(max_elements=3, measures_per_model=2, seed=6, include_perfect=True)
+    path = tmp_path / "hunt.ckpt"
+    real = hunter._hunt_causet
+
+    def dying(task):
+        if task[0] == 4:
+            raise KeyboardInterrupt
+        return real(task)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hunter, "_hunt_causet", dying)
+        with pytest.raises(KeyboardInterrupt):
+            hunt(cfg, checkpoint_path=str(path))
+    assert path.read_bytes() == fixture.read_bytes()
+
+    path.write_bytes(fixture.read_bytes())
+    full = hunt(cfg)
+    resumed = hunt(cfg, checkpoint_path=str(path), resume=True)
+    assert resumed.summary_json() == full.summary_json()
+    assert resumed.findings == [f for f in full.findings if f["index"] > 3]
 
 
 class _RecordingPool:
