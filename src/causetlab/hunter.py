@@ -10,7 +10,10 @@ A finding needs only the four bits and each failing principle's first
 witness, so every principle is decided only up to its first failure
 (`first_witnesses`): each 0 rests on a replayed failure, each 1 on a full
 sweep. `replay_finding` re-runs the full implication matrix, an independent
-check of a finding's bits.
+check of a finding's bits. SO1 and SO2 coincide on canonical doms when every
+nonempty pair is decided on all its cells (see README), and `first_witnesses`
+aborts on a disagreement there, so the per-model SO1/SO2 tags come only from
+sweeps that caps cut short.
 
 Canonical form: the lexicographically minimal relation matrix over all
 relabelings, compared in expanding-submatrix block order (the block at depth
@@ -48,7 +51,6 @@ worker count.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 from functools import cache
@@ -65,7 +67,6 @@ from .principles import (
     Model,
     Witness,
     first_witnesses,
-    gap_closure_check,
     implication_matrix,
 )
 
@@ -276,6 +277,8 @@ class SearchConfig(_SearchFields):
             raise ValueError("measures_per_model must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if self.denominator_bound < 0:
+            raise ValueError("denominator_bound must be non-negative")
         for f in self.filters:
             if f not in FILTERS:
                 raise ValueError(f"unknown filter {f!r}; known: {', '.join(FILTERS)}")
@@ -303,6 +306,8 @@ class SearchConfig(_SearchFields):
 
 
 def _digest(payload: dict) -> str:
+    import hashlib  # only here: only findings and checkpoints need it
+
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
@@ -326,7 +331,7 @@ class Finding(NamedTuple):
         }
 
 
-def _classify(first: dict[str, Witness | None], gap_mismatch: bool) -> tuple[str, ...]:
+def _classify(first: dict[str, Witness | None]) -> tuple[str, ...]:
     so1, so2, f1, f2 = (first[p] is None for p in PRINCIPLES)
     tags = []
     if (f1 and not so1) or (f2 and not so2):
@@ -339,8 +344,6 @@ def _classify(first: dict[str, Witness | None], gap_mismatch: bool) -> tuple[str
         tags.append("FIN-SO2 and not FIN-SO1 candidate")
     if f1 and not f2:
         tags.append("FIN-SO1 and not FIN-SO2 candidate")
-    if gap_mismatch:
-        tags.append("gap-closure mismatch")
     return tuple(tags)
 
 
@@ -373,21 +376,15 @@ def _hunt_causet(task: tuple[int, tuple[int, ...], SearchConfig]) -> dict:
     if config.include_perfect:
         measures.append(MeasureTable.perfectly_correlated(space))
         kinds.append("perfect")
-    models = [Model.build(space, measure) for measure in measures]
-    # gap closure is measure-independent, so it is checked once per causet,
-    # on the first (uniform) model
-    gap_mismatch = any(
-        not gap_closure_check(models[0], ra, rb).equal
-        for ra, rb in causet.spacelike_pairs(max_size=config.caps.region_size)
-    )
     findings = []
     truth: dict[str, int] = {}
-    for kind, model in zip(kinds, models):
+    for kind, measure in zip(kinds, measures):
+        model = Model.build(space, measure)
         # zero_mode lists zero-mass screeners but never changes a bit
         first = first_witnesses(model, config.caps)
         bits = "".join("1" if first[p] is None else "0" for p in PRINCIPLES)
         truth[bits] = truth.get(bits, 0) + 1
-        tags = _classify(first, gap_mismatch)
+        tags = _classify(first)
         if not tags:
             continue
         fingerprint = {

@@ -6,14 +6,13 @@ mutual past P1(A, B) screens off: mu(A & B | C) = mu(A | C) mu(B | C).
 SO2: the same with full specifications of the truncated joint past P2(A, B).
 The FIN variants quantify only over causally finite region pairs; since
 their sweep is a subset of the infinite sweep, SOk satisfied must imply
-FIN-SOk satisfied, and the matrix checker and the hunter's route abort if it
-ever does not (that would be an implementation bug, not physics).
-
-No implication between SO1 and SO2 is ever asserted: both directions are
-treated as per-model empirical data, and `replicate_so1_to_so2` plus
-`gap_closure_check` re-verify, step by step, every provable piece of the
-textbook derivation of SO2 from SO1, including the final set-coverage
-comparison that the derivation itself leaves open.
+FIN-SOk satisfied. On an exact plan (`_SweepPlan.exact`) SO1 and SO2 must
+agree too: decomposition and weak union on the flank-enlarged pair derive
+each from the other (README). The matrix checker and the hunter's route
+abort if either ever fails (that would be an implementation bug, not
+physics). Under caps that cut a sweep short, and for explicit doms, SO1
+versus SO2 stays per-model data; `replicate_so1_to_so2` and
+`gap_closure_check` re-verify the derivation step by step.
 
 A sweep has two parts. Its plan (`_SweepPlan`) is everything the measure
 does not decide: per screener family (p1 or p2, built on first use), one
@@ -407,6 +406,13 @@ class _SweepPlan:
             got = self._gamma[region] = gamma_capped(space, self._dom, region, self._caps.algebra)[0]
         return got
 
+    def exact(self, space: HistorySpace) -> bool:
+        """Is every pair with two nonempty sides, in both families, decided on
+        all its cells: a canonical dom, and none skipped or truncated?"""
+        return self._dom.is_canonical and not any(
+            p.skipped or p.truncated and not p.trivial for fam in ("p1", "p2") for p in self.family(space, fam)
+        )
+
     def family(self, space: HistorySpace, fam: str) -> tuple[_PairPlan, ...]:
         got = self._families.get(fam)
         if got is None:
@@ -645,9 +651,9 @@ def implication_matrix(
 
     The sweep evaluates the model's measure on the plan of its space, dom
     and caps (both families), which every canonical-dom model on that space
-    shares. The two subset implications (SOk => FIN-SOk) are asserted as
-    internal consistency; their failure is an implementation bug and
-    aborts. Every decision is replayed where the sweep makes it: the failing
+    shares. The subset implications SOk => FIN-SOk, and SO1 <=> SO2 on an
+    exact plan, are asserted as internal consistency (exit 3 on the CLI).
+    Every decision is replayed where the sweep makes it: the failing
     cell triples (canonical doms) or first failing event triple (explicit
     doms) of each screener together (`replay_screen_failures`), whose masses
     are recomputed as integers from the history masses, without the
@@ -665,7 +671,7 @@ def implication_matrix(
     plan = _plan(model.space, model.dom, caps)
     decide = _decider(model, True)
     verdicts = {p: _assemble(model, plan, p, decide, zero_mode) for p in PRINCIPLES}
-    _check_subset_implications({p: verdicts[p].satisfied for p in PRINCIPLES})
+    _check_subset_implications({p: verdicts[p].satisfied for p in PRINCIPLES}, plan.exact(model.space))
     implications = {}
     for p in PRINCIPLES:
         for q in PRINCIPLES:
@@ -676,14 +682,19 @@ def implication_matrix(
     return ImplicationMatrix(verdicts, implications)
 
 
-def _check_subset_implications(satisfied: dict[str, bool]) -> None:
-    """SOk satisfied must imply FIN-SOk satisfied; anything else is a bug."""
+def _check_subset_implications(satisfied: dict[str, bool], exact: bool) -> None:
+    """SOk satisfied must imply FIN-SOk satisfied, and on an exact plan SO1
+    and SO2 must agree (README); anything else is a bug."""
     for strong, weak in (("so1", "fin-so1"), ("so2", "fin-so2")):
         if satisfied[strong] and not satisfied[weak]:
             raise InternalConsistencyError(
                 f"{strong} satisfied but {weak} violated: the finite sweep "
                 "is a subset of the infinite sweep, so this cannot happen"
             )
+    if exact and satisfied["so1"] != satisfied["so2"]:
+        raise InternalConsistencyError(
+            "so1 and so2 differ on an exact canonical plan, where each implies the other"
+        )
 
 
 def first_witnesses(model: Model, caps: Caps | None = None) -> dict[str, Witness | None]:
@@ -698,7 +709,7 @@ def first_witnesses(model: Model, caps: Caps | None = None) -> dict[str, Witness
     too, the family stops. A principle that holds is swept in full, so each
     0 rests on a replayed failure and each 1 on the full sweep. As in the
     matrix, a pair whose two pasts coincide is decided once for both
-    families, and SOk satisfied with FIN-SOk violated aborts.
+    families, and the same consistency checks abort.
     """
     caps = caps or Caps()
     plan = _plan(model.space, model.dom, caps)
@@ -717,7 +728,7 @@ def first_witnesses(model: Model, caps: Caps | None = None) -> dict[str, Witness
             outcome = decide(pair)
             if outcome.failing:
                 first.update(dict.fromkeys(open_here, outcome.failing[0]))
-    _check_subset_implications({p: p not in first for p in PRINCIPLES})
+    _check_subset_implications({p: p not in first for p in PRINCIPLES}, plan.exact(model.space))
     return {
         p: next(_witnesses(model, plan, p, (first[p],))) if p in first else None
         for p in PRINCIPLES
@@ -889,8 +900,9 @@ def replicate_so1_to_so2(
 
 
 class GapReport(NamedTuple):
-    """Comparison of {C&X&Y} against Phi(P2): the coverage question the
-    SO1 => SO2 derivation leaves open. A mismatch is a research finding."""
+    """Comparison of {C&X&Y} against Phi(P2), the coverage question the
+    textbook SO1 => SO2 derivation leaves open. Canonical doms settle it
+    (P2 = P1 + X + Y); on an explicit dom a mismatch is a finding."""
 
     region_a: Region
     region_b: Region

@@ -300,6 +300,45 @@ def test_workers_below_one_rejected(workers, capsys):
         max_elements=2, workers=3).to_json()
 
 
+def test_negative_denominator_bound_rejected(capsys):
+    from causetlab.cli import main
+
+    with pytest.raises(ValueError, match="denominator_bound"):
+        SearchConfig(max_elements=2, denominator_bound=-1)
+    # refused before any pool starts
+    assert main(["hunt", "--max-elements", "2", "--denominator-bound", "-1", "--workers", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("causetlab hunt: denominator_bound")
+    # a bound of 0 stays valid: every random measure is the point mass on
+    # the first history
+    report = hunt(SearchConfig(max_elements=2, measures_per_model=2, denominator_bound=0))
+    assert report.models == 6
+
+
+@pytest.mark.parametrize("caps, code", [("", 3), ("region=1", 3), ("algebra=3", 1)])
+def test_so1_and_so2_differing_stops_only_an_exact_hunt(caps, code, monkeypatch, capsys):
+    # with an empty truncated joint past the perfect measure on p < a, p < b
+    # holds SO1 and fails SO2. Its plan is exact under default caps, and
+    # under region=1 (its one nonempty pair has sides of one element); under
+    # algebra=3 each side's 4-event algebra is truncated, and the hunt
+    # reports the disagreement as a per-model tag
+    from causetlab import Causet
+    from causetlab.cli import main
+
+    monkeypatch.setattr(Causet, "truncated_joint_past", lambda self, r1, r2: 0)
+    argv = ["hunt", "--max-elements", "3", "--include-perfect", "--workers", "1", "--caps", caps]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code == 3:
+        assert out == ""
+        assert err.startswith("causetlab hunt: internal consistency failure:")
+        assert "so1 and so2" in err
+    else:
+        summary = json.loads(out.splitlines()[-1])["summary"]
+        assert summary["tags_histogram"]["per-model SO1 and not SO2"] == 1
+
+
 def test_a_false_zero_mass_stops_the_hunt(monkeypatch, capsys):
     # mass(Omega) reading 0 would make every pair of the 2-antichain pass
     # vacuously; the zero screener's replay on the history masses objects

@@ -482,6 +482,57 @@ def test_first_witnesses_equal_the_full_matrix_on_random_models(model, caps):
     assert early == full
 
 
+# -- SO1 <=> SO2 on canonical doms ---------------------------------------------------
+
+
+def test_so1_and_so2_agree_on_every_uncapped_sweep():
+    # the stated result: with no cap in effect every canonical plan is
+    # exact, and SO1 and SO2 agree on every model, by both routes
+    import causetlab.principles as principles
+    from causetlab.hunter import enumerate_causets
+
+    seen = set()
+    for q, top in ((2, 5), (3, 4)):
+        for causet in (c for n in range(1, top + 1) for c in enumerate_causets(n)):
+            space = HistorySpace(causet, q)
+            caps = Caps(region_size=causet.n, algebra=1 << 300)
+            measures = [
+                MeasureTable.uniform(space),
+                MeasureTable.random(space, f"uncapped:{causet.n}", 3),
+                MeasureTable.perfectly_correlated(space),
+                *(_copy_measure(space, s) for s in range(1 << causet.n) if s.bit_count() == 2),
+            ]
+            for measure in measures:
+                model = Model.build(space, measure)
+                bits = implication_matrix(model, caps).bits
+                early = "".join("1" if w is None else "0" for w in first_witnesses(model, caps).values())
+                assert bits[0] == bits[1] and early == bits, (causet.relation_pairs(), q, bits)
+                seen.add(bits)
+            assert principles._plan(space, DomMap.canonical(), caps).exact(space)
+    assert seen == {"0000", "0001", "0011", "1111"}
+
+
+def test_so1_and_so2_differing_on_an_exact_plan_is_a_bug(monkeypatch):
+    from causetlab import Causet
+
+    # with an empty truncated joint past SO2 screens on Omega alone, so a
+    # measure correlated through the past fails SO2 where SO1 holds
+    monkeypatch.setattr(Causet, "truncated_joint_past", lambda self, r1, r2: 0)
+    v3 = validate_causet(["p", "a", "b"], [("p", "a"), ("p", "b")])
+    space3, space4 = HistorySpace(v3, 2), HistorySpace(_V4, 2)
+    for model in (
+        Model.build(space3, MeasureTable.perfectly_correlated(space3)),
+        Model.build(space4, _copy_measure(space4, _V4.region(["p", "a", "b"]))),
+    ):
+        for route in (implication_matrix, first_witnesses):
+            with pytest.raises(InternalConsistencyError, match="so1 and so2 differ"):
+                route(model)
+        # every nonempty side's 4-event algebra is cut to 3: the plan is not
+        # exact, and the disagreement stays a per-model verdict
+        assert implication_matrix(model, Caps(algebra=3)).bits[:2] == "10"
+        assert first_witnesses(model, Caps(algebra=3))["so2"] is not None
+
+
 # -- dom axiom gate ------------------------------------------------------------------
 
 

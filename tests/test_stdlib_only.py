@@ -9,9 +9,10 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).parent.parent / "src" / "causetlab"
 
-# modules no decision needs: `dataclasses` pulls in `inspect`, and
-# `multiprocessing` serves only the pool of a hunt with several workers
-UNNEEDED = ("dataclasses", "inspect", "multiprocessing")
+# modules no decision needs: `dataclasses` pulls in `inspect`,
+# `multiprocessing` serves only the pool of a hunt with several workers, and
+# `hashlib` only the digests of findings and checkpoints
+UNNEEDED = ("dataclasses", "hashlib", "inspect", "multiprocessing")
 
 
 def _absolute_imports() -> list[tuple[str, str]]:
