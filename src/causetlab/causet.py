@@ -21,12 +21,13 @@ operation is a pure function of them. The only state built after
 construction is two tables over all 2^n regions, the causal pasts and the
 causal complements, each filled once on first use with the one value each
 region can have, so concurrent reads and transfer between workers stay
-safe.
+safe. The bit-lane columns of the region identity check depend only on the
+number of elements, up to 8, and are cached per module.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -57,8 +58,8 @@ class Causet:
     Causal pasts come from a table holding J^-(r) for all 2^n regions r,
     built on first use (2^n ints; up to 16 elements); `spacelike_pairs`
     reads the complements r' from a second table of the same size.
-    `region_identity_failures` decides every region identity of every
-    spacelike pair in one walk, from four past-table entries per pair.
+    `region_identity_failures` reads neither: it decides every region
+    identity of every spacelike pair at once, one bit lane per pair.
     """
 
     def __init__(self, elements: Sequence[str], closed_above: Sequence[int]):
@@ -142,17 +143,17 @@ class Causet:
     def _past_table(self) -> tuple[Region, ...]:
         """J^-(r) for every region r, indexed by its mask: 2^n ints.
 
-        Built once in ascending mask order: the past of r is the past of r
-        without its lowest point joined with that point's own past. Like the
+        Built once by doubling: for each point i in turn, the regions that
+        hold i are those without it joined with i and its own past. Like the
         region sweeps it is exponential, so it is refused above _SWEEP_LIMIT
         elements.
         """
         if self.n > _SWEEP_LIMIT:
             raise LimitError("past tables are exponential; causet too large")
-        table = [0] * (self.full + 1)
-        for r in range(1, self.full + 1):
-            low = r & -r
-            table[r] = table[r & (r - 1)] | low | self._below[low.bit_length() - 1]
+        table = [0]
+        for i, below in enumerate(self._below):
+            own = 1 << i | below
+            table += [t | own for t in table]
         return tuple(table)
 
     def is_spacelike(self, r1: Region, r2: Region) -> bool:
@@ -191,16 +192,15 @@ class Causet:
     def _complement_table(self) -> tuple[Region, ...]:
         """r' for every region r, indexed by its mask: 2^n ints.
 
-        Built like the past table: the complement of r is the complement of
-        r without its lowest point met with that point's own complement.
+        Built like the past table: the complement of a region holding point
+        i is the complement of the region without i met with i's own.
         """
         if self.n > _SWEEP_LIMIT:
             raise LimitError("complement tables are exponential; causet too large")
         point = self._point_complement
-        table = [self.full] * (self.full + 1)
-        for r in range(1, self.full + 1):
-            low = r & -r
-            table[r] = table[r & (r - 1)] & point[low.bit_length() - 1]
+        table = [self.full]
+        for cut in point:
+            table += [t & cut for t in table]
         return tuple(table)
 
     def causal_closure(self, r: Region) -> Region:
@@ -263,40 +263,47 @@ class Causet:
         return disjoint and (x | y | p1) == p2
 
     def region_identity_failures(self) -> tuple[int, list[tuple[Region, Region]]]:
-        """Every region identity of every spacelike pair, in one walk.
+        """Every region identity of every spacelike pair, one bit lane per pair.
 
         Returns the number of pairs checked and the failing ones, in
         spacelike_pairs() order. With P1 = J^-(ra) & J^-(rb), flanks X, Y and
         the enlarged pair (ra|X, rb|Y), a pair passes when: the enlarged
         pair is spacelike; P2 of the enlarged pair equals P1; X, Y and P1
         are pairwise disjoint with union P2(ra, rb); and P1 misses ra|rb.
-        Each term is computed from its definition out of J^-(ra), J^-(rb),
-        J^-(ra|X) and J^-(rb|Y), read from the past table. A pair passes
-        exactly when verify_crucial_identity(ra, rb).holds and
+        A pair passes exactly when verify_crucial_identity(ra, rb).holds and
         decomposes_truncated_past(ra, rb) and not mutual_past(ra, rb) & (ra|rb).
+
+        The candidates are the disjoint pairs ra <= rb, one bit lane each,
+        decided together by `_identity_lanes`. The low min(n, 8) elements
+        take their lane columns from `_lane_columns`. Each assignment of the
+        elements above those to ra, rb or neither is one pass, in which
+        their columns hold every lane or none. Failing lanes are decoded
+        from the columns.
         """
-        # the region algebra written out, not called, since the census runs
-        # it once per spacelike pair; tests hold it to the methods above.
-        # Pairs of the walk are spacelike: rb lies in the complement of ra.
-        past = self._past_table
+        if self.n > _SWEEP_LIMIT:
+            raise LimitError("region identity sweeps are exponential; causet too large")
+        low = min(self.n, _LANE_WIDTH)
+        high = self.n - low
+        ups = [tuple(_bits(up)) for up in self._above]
         checked = 0
         failing = []
-        for ra, rb in self.spacelike_pairs():
-            checked += 1
-            pa, pb = past[ra], past[rb]
-            x = pa & ~ra & ~pb
-            y = pb & ~rb & ~pa
-            ea, eb = ra | x, rb | y
-            pea, peb = past[ea], past[eb]
-            p1 = pa & pb
-            if not (
-                not (pea & eb or ea & peb)
-                and (pea | peb) & ~(ea | eb) == p1
-                and not (x & y or x & p1 or y & p1)
-                and x | y | p1 == (pa | pb) & ~(ra | rb)
-                and not p1 & (ra | rb)
-            ):
-                failing.append((ra, rb))
+        for ha in range(1 << high):
+            for hb in range(ha, 1 << high):
+                if ha & hb:
+                    continue
+                # ra <= rb is decided by the high parts when they differ;
+                # when both are empty, only the ordered lanes qualify
+                lanes, low_a, low_b = _lane_columns(low, ha == hb)
+                ra = list(low_a) + [lanes if ha >> k & 1 else 0 for k in range(high)]
+                rb = list(low_b) + [lanes if hb >> k & 1 else 0 for k in range(high)]
+                spacelike, fails = _identity_lanes(ups, lanes, ra, rb)
+                checked += _popcount(spacelike)
+                for lane in _bits(fails):
+                    failing.append((
+                        ha << low | sum(1 << j for j in range(low) if low_a[j] >> lane & 1),
+                        hb << low | sum(1 << j for j in range(low) if low_b[j] >> lane & 1),
+                    ))
+        failing.sort()
         return checked, failing
 
     # -- sweeps -----------------------------------------------------------
@@ -380,6 +387,80 @@ def _truncated_joint(r1: Region, r2: Region, p1: Region, p2: Region) -> Region:
 
 def _flanks(r1: Region, r2: Region, p1: Region, p2: Region) -> tuple[Region, Region]:
     return (p1 & ~r1) & ~p2, (p2 & ~r2) & ~p1
+
+
+# The same algebra on lane columns: a region R of many candidate pairs at
+# once is one int per element j, whose bit k says whether lane k's R holds j.
+
+# Lane columns cover at most this many elements: 3^8 lanes, 6,561-bit ints.
+_LANE_WIDTH = 8
+
+
+@cache
+def _lane_columns(width: int, ordered: bool) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The disjoint region pairs (a, b) over `width` elements, one lane each.
+
+    Returns the mask of all lanes and, per element j, the columns of the
+    lanes whose a holds j and whose b holds j. Unordered, these are all
+    3^width pairs, lane k's base-3 digit j saying whether j lies in neither,
+    a or b. Ordered, they are the (3^width + 1)/2 pairs with a <= b: the
+    ordered pairs without the top element, then every pair with the top
+    element in b (disjoint masks compare by their highest element).
+    """
+    if width == 0:
+        return 1, (), ()
+    lanes, cols_a, cols_b = _lane_columns(width - 1, False)
+    if ordered:
+        half, half_a, half_b = _lane_columns(width - 1, True)
+        shift = half.bit_length()
+        return (
+            half | lanes << shift,
+            tuple(h | c << shift for h, c in zip(half_a, cols_a)) + (0,),
+            tuple(h | c << shift for h, c in zip(half_b, cols_b)) + (lanes << shift,),
+        )
+    span = lanes.bit_length()
+    thrice = 1 | 1 << span | 1 << 2 * span
+    return (
+        lanes * thrice,
+        tuple(c * thrice for c in cols_a) + (lanes << span,),
+        tuple(c * thrice for c in cols_b) + (lanes << 2 * span,),
+    )
+
+
+def _past_columns(ups: list[tuple[int, ...]], cols: list[int]) -> list[int]:
+    # J^-(R)[j] = R[j] | R[i] for every i above j: the past table's one step
+    out = []
+    for col, up in zip(cols, ups):
+        for i in up:
+            col |= cols[i]
+        out.append(col)
+    return out
+
+
+def _identity_lanes(
+    ups: list[tuple[int, ...]], lanes: int, ra: list[int], rb: list[int]
+) -> tuple[int, int]:
+    """The spacelike lanes of (ra, rb), and those among them that fail a
+    region identity; ups[j] lists the elements above j."""
+    pa, pb = _past_columns(ups, ra), _past_columns(ups, rb)
+    xs = [p & ~a & ~q for a, p, q in zip(ra, pa, pb)]
+    ys = [q & ~b & ~p for b, p, q in zip(rb, pa, pb)]
+    ea = [a | x for a, x in zip(ra, xs)]
+    eb = [b | y for b, y in zip(rb, ys)]
+    pea, peb = _past_columns(ups, ea), _past_columns(ups, eb)
+    near = bad = 0
+    for a, b, p, q, x, y, e, f, pe, pf in zip(ra, rb, pa, pb, xs, ys, ea, eb, pea, peb):
+        near |= p & b | a & q
+        p1 = p & q
+        bad |= (
+            pe & f | e & pf  # the enlarged pair is not spacelike
+            | ((pe | pf) & ~(e | f)) ^ p1  # its truncated joint past is not P1
+            | x & y | x & p1 | y & p1  # X, Y and P1 overlap
+            | (x | y | p1) ^ ((p | q) & ~(a | b))  # their union is not P2
+            | p1 & (a | b)  # P1 meets the pair
+        )
+    spacelike = lanes & ~near
+    return spacelike, bad & spacelike
 
 
 def validate_causet(

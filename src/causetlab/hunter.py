@@ -273,6 +273,8 @@ class SearchConfig(_SearchFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.max_elements < 1:
             raise ValueError("max_elements must be at least 1")
+        if self.alphabet_size < 2:
+            raise ValueError("alphabet_size must be at least 2")
         if self.measures_per_model < 1:
             raise ValueError("measures_per_model must be at least 1")
         if self.workers < 1:

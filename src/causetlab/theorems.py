@@ -8,10 +8,9 @@ any failures. The laws:
   again spacelike, its truncated joint past equals the original mutual past,
   the truncated joint past decomposes disjointly into the two flanks and the
   mutual past, and the mutual past avoids both regions (so truncating it
-  would change nothing). All pairs of a causet are decided in one walk,
-  each from four causal pasts; a failing pair's report is built by the
-  reference methods `verify_crucial_identity` and
-  `decomposes_truncated_past`.
+  would change nothing). All pairs of a causet are decided at once, one
+  bit lane per pair; a failing pair's report is built by the reference
+  methods `verify_crucial_identity` and `decomposes_truncated_past`.
 - partition law: full specifications of any region partition the history
   space, with exactly alphabet^|region| cells.
 - composition law: full specifications of a disjoint union are exactly the
@@ -76,8 +75,8 @@ def region_identity_suite(max_elements: int) -> SuiteResult:
     """Enlarged-pair identity + truncated-past decomposition, all causets,
     all unordered spacelike region pairs.
 
-    The pairs of each causet are decided in one walk by
-    `Causet.region_identity_failures`. A pair it fails is re-checked by
+    The pairs of each causet are decided together, one bit lane per pair,
+    by `Causet.region_identity_failures`. A pair it fails is re-checked by
     `verify_crucial_identity` and `decomposes_truncated_past`, which build
     the failure report; if they pass it, the two disagree and that is an
     internal-consistency failure.

@@ -109,6 +109,23 @@ def test_past_beyond_the_table_limit():
         next(chain.spacelike_pairs())
 
 
+def test_identity_lanes_cover_at_most_eight_elements():
+    # lane columns are built on first use, for the low eight elements at
+    # most; the elements above them are looped over, and 17 is refused
+    # before any lane is built
+    from causetlab.causet import _LANE_WIDTH, _lane_columns
+
+    labels = [f"e{i}" for i in range(17)]
+    _lane_columns.cache_clear()
+    with pytest.raises(LimitError):
+        validate_causet(labels, []).region_identity_failures()
+    assert _lane_columns.cache_info().currsize == 0
+    assert validate_causet(labels[:12], []).region_identity_failures() == ((3 ** 12 + 1) // 2, [])
+    assert _LANE_WIDTH == 8 and _lane_columns.cache_info().currsize <= 2 * (_LANE_WIDTH + 1)
+    lanes, cols_a, cols_b = _lane_columns(_LANE_WIDTH, False)
+    assert lanes.bit_length() == 3 ** 8 and len(cols_a) == len(cols_b) == 8
+
+
 def test_spacelike_diamond_wings(diamond):
     assert diamond.is_spacelike(diamond.region("a"), diamond.region("b"))
 

@@ -300,6 +300,23 @@ def test_workers_below_one_rejected(workers, capsys):
         max_elements=2, workers=3).to_json()
 
 
+@pytest.mark.parametrize("alphabet", [1, 0])
+def test_alphabet_below_two_rejected(alphabet, monkeypatch, capsys):
+    from causetlab.cli import main
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started for a config that should be refused")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    with pytest.raises(ValueError, match="alphabet_size must be at least 2"):
+        SearchConfig(max_elements=2, alphabet_size=alphabet)
+    argv = ["hunt", "--max-elements", "2", "--alphabet", str(alphabet), "--workers", "2"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("causetlab hunt: alphabet_size must be at least 2")
+
+
 def test_negative_denominator_bound_rejected(capsys):
     from causetlab.cli import main
 

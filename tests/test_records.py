@@ -82,6 +82,7 @@ def test_caps_are_dict_keys_and_parse_round_trips():
 
 @pytest.mark.parametrize("bad", [
     {"max_elements": 0},
+    {"alphabet_size": 1},
     {"measures_per_model": 0},
     {"workers": 0},
     {"filters": ("no-such-filter",)},
@@ -104,6 +105,10 @@ def test_search_config_survives_pickle_and_is_checked_when_unpickled():
     unchecked = tuple.__new__(SearchConfig, config[:6] + (0,) + config[7:])
     assert unchecked.workers == 0
     with pytest.raises(ValueError, match="workers"):
+        pickle.loads(pickle.dumps(unchecked))
+    unchecked = tuple.__new__(SearchConfig, config[:1] + (1,) + config[2:])
+    assert unchecked.alphabet_size == 1
+    with pytest.raises(ValueError, match="alphabet_size"):
         pickle.loads(pickle.dumps(unchecked))
 
 

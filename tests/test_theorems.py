@@ -29,18 +29,19 @@ def test_region_suite_counts_every_spacelike_pair():
     )
 
 
-def _unclosed_dags(per_size: int, seed: int = 0):
-    # Seeded random DAGs on 3-5 elements whose relation is not transitively
-    # closed. Built with the internal constructor, they break the order laws
-    # the region identities rest on, so the identities fail on some pairs.
+def _unclosed_dags(per_size: int, seed: int = 0, sizes=(3, 4, 5), density=0.5):
+    # Seeded random DAGs (3-5 elements unless told otherwise) whose relation
+    # is not transitively closed. Built with the internal constructor, they
+    # break the order laws the region identities rest on, so the identities
+    # fail on some pairs.
     rng = random.Random(seed)
-    for n in (3, 4, 5):
+    for n in sizes:
         made = 0
         while made < per_size:
             above = [0] * n
             for i in range(n):
                 for j in range(i + 1, n):
-                    if rng.random() < 0.5:
+                    if rng.random() < density:
                         above[i] |= 1 << j
             if all(above[j] & ~above[i] == 0 for i in range(n) for j in range(n) if above[i] >> j & 1):
                 continue
@@ -99,6 +100,36 @@ def test_one_pass_check_equals_the_reference_methods_where_they_fail():
     # each term fails on its own somewhere, so dropping either would show
     assert outcomes[False] > 100 and outcomes[True] > 100
     assert broken["identity"] > 0 and broken["enlarged_spacelike"] > 0
+
+
+def test_lane_kernel_equals_the_per_pair_reference():
+    # every causet up to n = 5, and unclosed DAGs on 9 and 10 elements, where
+    # the elements above the eighth are assigned outside the lanes
+    causets = [c for n in range(1, 6) for c in enumerate_causets(n)]
+    dags = list(_unclosed_dags(2, seed=1, sizes=(9, 10), density=0.15))
+    high_failures = 0
+    for causet in causets + dags:
+        pairs, expected_failing = 0, []
+        for ra, rb in causet.spacelike_pairs():
+            pairs += 1
+            report, decomposes, untruncated = _reference_verdict(causet, ra, rb)
+            if not (report.holds and decomposes and untruncated):
+                expected_failing.append((ra, rb))
+        assert causet.region_identity_failures() == (pairs, expected_failing), causet
+        high_failures += sum(1 for ra, rb in expected_failing if (ra | rb) >> 8)
+    assert high_failures > 0
+
+
+def test_census_counts_every_spacelike_pair_up_to_seven():
+    # counts taken from the per-pair walk the lane kernel replaced
+    per_n = {1: 2, 2: 9, 3: 51, 4: 361, 5: 3036, 6: 32054, 7: 422722}
+    counted = {
+        n: sum(c.region_identity_failures()[0] for c in enumerate_causets(n)) for n in per_n
+    }
+    assert counted == per_n
+    suite = region_identity_suite(7)
+    assert suite.passed
+    assert suite.checked == sum(per_n.values()) == 458235
 
 
 def test_region_suite_reports_what_the_reference_methods_report(monkeypatch):
