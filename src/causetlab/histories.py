@@ -50,27 +50,37 @@ _MAX_HISTORIES = 1 << 20
 MAX_ENUMERABLE_HISTORIES = 16
 
 
+def check_space_limits(alphabet_size: int, elements: int) -> None:
+    """Refuse, before any work, an alphabet that HistorySpace refuses on
+    some space of up to `elements` elements."""
+    if alphabet_size < 2:
+        raise ValueError("alphabet_size must be at least 2")
+    if alphabet_size > len(_DIGITS):
+        raise LimitError(f"alphabet_size above {len(_DIGITS)} not supported by history keys")
+    if alphabet_size ** elements > _MAX_HISTORIES:
+        raise LimitError("history space too large")
+
+
 class HistorySpace:
-    """The product space alphabet^elements with events as history bitmasks."""
+    """The product space alphabet^elements with events as history bitmasks.
+
+    History h holds value (h // q^i) % q at element i. Every table is built
+    as a product over elements, each the most significant digit so far.
+    """
 
     def __init__(self, causet: Causet, alphabet_size: int = 2):
-        if alphabet_size < 2:
-            raise ValueError("alphabet_size must be at least 2")
-        if alphabet_size > len(_DIGITS):
-            raise LimitError(f"alphabet_size above {len(_DIGITS)} not supported by history keys")
-        if alphabet_size ** causet.n > _MAX_HISTORIES:
-            raise LimitError("history space too large")
+        check_space_limits(alphabet_size, causet.n)
         self.causet = causet
-        self.q = alphabet_size
-        self.size = alphabet_size ** causet.n
+        self.q = q = alphabet_size
+        self.size = q ** causet.n
         self.omega: Event = (1 << self.size) - 1
-        # value_masks[i][v]: histories whose value at element i is v
+        # value_masks[i][v]: histories whose value at element i is v, a run
+        # of q^i ones from v q^i in every block of q^(i+1) histories
         self._value_masks: list[list[int]] = []
         for i in range(causet.n):
-            per_value = [0] * self.q
-            for h in range(self.size):
-                per_value[self._value(h, i)] |= 1 << h
-            self._value_masks.append(per_value)
+            step = q ** i
+            run = ((1 << step) - 1) * (self.omega // ((1 << step * q) - 1))
+            self._value_masks.append([run << v * step for v in range(q)])
         self._phi_cache: dict[Region, tuple[Event, ...]] = {}
 
     def _value(self, h: int, i: int) -> int:
@@ -96,7 +106,10 @@ class HistorySpace:
     @cached_property
     def _history_keys(self) -> tuple[str, ...]:
         # every history's key, built once on the first event rendered
-        return tuple(self.history_key(h) for h in range(self.size))
+        keys = [""]
+        for _ in range(self.causet.n):
+            keys = [k + d for d in _DIGITS[:self.q] for k in keys]
+        return tuple(keys)
 
     def event_keys(self, e: Event) -> list[str]:
         keys = self._history_keys
@@ -153,24 +166,16 @@ class HistorySpace:
         return dom
 
     def phi_cells(self, region: Region) -> tuple[Event, ...]:
-        """Cylinders fixing a value at every element of the region, in
-        ascending assignment order; ({Omega},) for the empty region."""
-        cached = self._phi_cache.get(region)
-        if cached is not None:
-            return cached
-        idx = list(_bits(region))
-        cells = []
-        # cell s assigns value (s // q^j) % q to the j-th region element
-        for s in range(self.q ** len(idx)):
-            mask = self.omega
-            rest = s
-            for i in idx:
-                mask &= self._value_masks[i][rest % self.q]
-                rest //= self.q
-            cells.append(mask)
-        result = tuple(cells)
-        self._phi_cache[region] = result
-        return result
+        """Cylinders fixing a value at every element of the region; cell s
+        assigns value (s // q^j) % q to the j-th region element in element
+        order. ({Omega},) for the empty region."""
+        cells = self._phi_cache.get(region)
+        if cells is None:
+            product = [self.omega]
+            for i in _bits(region):
+                product = [c & m for m in self._value_masks[i] for c in product]
+            cells = self._phi_cache[region] = tuple(product)
+        return cells
 
 
 class DomMap:
@@ -230,30 +235,35 @@ def gamma(space: HistorySpace, dom: DomMap, region: Region, limit: int | None = 
 def gamma_capped(
     space: HistorySpace, dom: DomMap, region: Region, limit: int | None
 ) -> tuple[list[Event], bool]:
-    """Gamma with an explicit cap; returns (events, truncated)."""
+    """Gamma with an explicit cap, in `gamma`'s order: (events, truncated). Canonical
+    doms double over `capped_gamma_cells`, and give ([], True) uncapped above 2^16 events."""
     if dom.is_canonical:
-        cells = space.phi_cells(region)
-        k = len(cells)
-        count = 1 << k
-        take = count if limit is None else min(count, limit)
-        if limit is None and count > 1 << 16:
+        take, truncated = capped_gamma_size(space, region, 1 << 16 if limit is None else limit)
+        if truncated and limit is None:
             return [], True
-        events = []
-        for s in range(take):
-            mask = 0
-            rest = s
-            j = 0
-            while rest:
-                if rest & 1:
-                    mask |= cells[j]
-                rest >>= 1
-                j += 1
-            events.append(mask)
-        return events, take < count
+        events = [0]
+        for cell in capped_gamma_cells(space, region, take):
+            events += [e | cell for e in events]
+        return events[:take], truncated
     matching = [e for e in dom.events(space) if dom.dom(space, e) & ~region == 0]
     if limit is not None and len(matching) > limit:
         return matching[:limit], True
     return matching, False
+
+
+def capped_gamma_size(space: HistorySpace, region: Region, cap: int) -> tuple[int, bool]:
+    """How many of the 2^(q^|region|) events of a canonical Gamma(region) a
+    cap takes, and whether it leaves some out."""
+    k = space.q ** _popcount(region)
+    if k > 1000:  # 2^k certainly beyond any sane cap
+        return cap, True
+    return min(1 << k, cap), cap < 1 << k
+
+
+def capped_gamma_cells(space: HistorySpace, region: Region, take: int) -> tuple[Event, ...]:
+    """The Phi cells the first `take` events of a canonical Gamma(region) are
+    unions of: the first bit_length(take - 1), all unless take <= 2^(cells - 1)."""
+    return space.phi_cells(region)[:max(take - 1, 0).bit_length()]
 
 
 def full_specifications(space: HistorySpace, dom: DomMap, region: Region) -> list[Event]:
@@ -414,6 +424,8 @@ def check_dom_axioms(
     Failures are reported with a minimal witness (first in enumeration
     order), never thrown. `axioms` selects a subset to run.
     """
+    if family_size < 2:  # axioms 1 and 2 quantify over two events or more
+        raise ValueError("family_size must be at least 2")
     if universe is None:
         universe = list(dom.events(space))
     universe = sorted(set(universe))

@@ -58,7 +58,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .causet import Causet, _bits
 from .errors import LimitError
-from .histories import HistorySpace
+from .histories import HistorySpace, check_space_limits
 from .measure import MeasureTable
 from .modelio import model_from_data
 from .principles import (
@@ -508,6 +508,7 @@ def hunt(
     """
     if config.max_elements > HARD_ENUMERATION_LIMIT:
         raise LimitError(f"max_elements exceeds the hard limit {HARD_ENUMERATION_LIMIT}")
+    check_space_limits(config.alphabet_size, config.max_elements)
     tasks = []
     index = 0
     for n in range(1, config.max_elements + 1):

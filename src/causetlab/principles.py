@@ -70,6 +70,8 @@ from .histories import (
     DomAxiomReport,
     Event,
     HistorySpace,
+    capped_gamma_cells,
+    capped_gamma_size,
     check_dom_axioms,
     full_specifications,
     gamma_capped,
@@ -320,28 +322,16 @@ _COUNT_KEYS = (
 )
 
 
-def _algebra_size(space: HistorySpace, region: Region, cap: int) -> tuple[int, bool]:
-    """How many events of Gamma(region) a capped sweep takes, and whether the
-    cap leaves some out (Gamma has 2^(q^|region|) events)."""
-    k = space.q ** _popcount(region)
-    if k > 1000:  # 2^k certainly beyond any sane cap
-        return cap, True
-    return min(1 << k, cap), cap < 1 << k
-
-
 def _decision_events(
     space: HistorySpace, dom: DomMap, region: Region, cap: int
 ) -> tuple[tuple[Event, ...], int, bool]:
-    """(events, take, truncated): the events a capped decision over
+    """(events, take, truncated): what a decision over the capped
     Gamma(region) ranges over, how many events the cap takes, and whether it
-    leaves some out. Canonical doms: the Phi cells whose singleton event
-    (encoding 1 << j) lies in the capped prefix of Gamma, which holds only
-    unions of them; that is a prefix of the cells, and all of them (the
-    cached tuple itself) unless the cap is below 2^(cells - 1). Explicit
-    doms: the capped Gamma itself."""
+    leaves some out. Canonical doms range over the cells the capped prefix is
+    made of (`capped_gamma_cells`), explicit doms over the capped Gamma itself."""
     if dom.is_canonical:
-        take, truncated = _algebra_size(space, region, cap)
-        return space.phi_cells(region)[:max(take - 1, 0).bit_length()], take, truncated
+        take, truncated = capped_gamma_size(space, region, cap)
+        return capped_gamma_cells(space, region, take), take, truncated
     events, truncated = gamma_capped(space, dom, region, cap)
     return tuple(events), len(events), truncated
 
@@ -367,7 +357,7 @@ def _pair_plan(
         return _PairPlan(ra, rb, finite, True, False, past)
     trivial = not (ra and rb)
     if trivial and dom.is_canonical:
-        (take_a, trunc_a), (take_b, trunc_b) = _algebra_size(space, ra, cap), _algebra_size(space, rb, cap)
+        (take_a, trunc_a), (take_b, trunc_b) = (capped_gamma_size(space, r, cap) for r in (ra, rb))
         events_a = events_b = screeners = ()
         count = space.q ** _popcount(past)
     else:
@@ -930,14 +920,11 @@ def gap_closure_check(model: Model, ra: Region, rb: Region) -> GapReport:
     dropping empties, exhaust Phi(P2)? Reports equality or the differences."""
     space, dom, causet = model.space, model.dom, model.causet
     x, y = causet.flank_regions(ra, rb)
-    composed = set()
-    for cell_c in full_specifications(space, dom, causet.mutual_past(ra, rb)):
-        for cell_x in full_specifications(space, dom, x):
-            for cell_y in full_specifications(space, dom, y):
-                k = cell_c & cell_x & cell_y
-                if k:
-                    composed.add(k)
+    phi_p1 = full_specifications(space, dom, causet.mutual_past(ra, rb))
+    phi_x = full_specifications(space, dom, x)
+    phi_y = full_specifications(space, dom, y)
     phi_p2 = set(full_specifications(space, dom, causet.truncated_joint_past(ra, rb)))
+    composed = {cell_c & cell_x & cell_y for cell_c in phi_p1 for cell_x in phi_x for cell_y in phi_y} - {0}
     return GapReport(
         region_a=ra,
         region_b=rb,

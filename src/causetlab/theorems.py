@@ -37,6 +37,7 @@ from .histories import (
     DomMap,
     HistorySpace,
     check_dom_axioms,
+    check_space_limits,
     compose_full_specs,
     full_specifications,
     is_partition,
@@ -267,12 +268,14 @@ def run_all(
     than the pure region sweeps). The dom axioms are checked on all events
     up to 3 elements but never on more than MAX_ENUMERABLE_HISTORIES
     histories; the sizes above that, up to 4, are checked on sampled events.
-    Both sizes are checked against the enumeration limit before any suite
-    runs."""
+    Both sizes are checked against the enumeration limit, and the alphabet
+    against the history space's limits at the product size, before any
+    suite runs."""
     for name, size in (("max_elements", max_elements), ("max_product_elements", max_product_elements)):
         if size is not None and not 1 <= size <= HARD_ENUMERATION_LIMIT:
             raise LimitError(f"{name} must be between 1 and {HARD_ENUMERATION_LIMIT}, got {size}")
     product_max = min(max_elements, 4) if max_product_elements is None else max_product_elements
+    check_space_limits(alphabet, product_max)
     exhaustive_max = min(product_max, 3)
     while alphabet ** exhaustive_max > MAX_ENUMERABLE_HISTORIES:
         exhaustive_max -= 1

@@ -232,6 +232,29 @@ def test_theorems_rejects_sizes_before_enumerating(sizes, monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, argv, spied, message", [
+    ("hunt", ["--max-elements", "7", "--alphabet", "8", "--workers", "1"], "causetlab.hunter._representatives",
+     "history space too large"),
+    ("theorems", ["--max-elements", "7", "--alphabet", "1"], "causetlab.theorems.region_identity_suite",
+     "alphabet_size must be at least 2"),
+    ("theorems", ["--max-elements", "7", "--alphabet", "17"], "causetlab.theorems.region_identity_suite",
+     "alphabet_size above 16 not supported by history keys"),
+], ids=["hunt-8-pow-7", "theorems-alphabet-1", "theorems-alphabet-17"])
+def test_alphabet_refused_before_any_work(command, argv, spied, message, monkeypatch, capsys):
+    # the history space's own limits, checked at the largest size a run
+    # would build before it enumerates or checks anything
+    from causetlab.cli import main
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the alphabet was checked")
+
+    monkeypatch.setattr(spied, no_work)
+    assert main([command, *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"causetlab {command}: {message}\n"
+
+
 @pytest.mark.parametrize("command, extra", [
     ("check", ["--principle", "all"]),
     ("check", ["--principle", "so1"]),
@@ -333,6 +356,18 @@ def test_fullspec_counts(data_dir):
     data = json.loads(proc.stdout)
     assert data["count"] == 4
     assert data["partition_of_omega"] is True
+
+
+@pytest.mark.parametrize("size", ["1", "0", "-3"])
+def test_dom_axioms_refuses_families_below_two(data_dir, capsys, size):
+    # axioms 1 and 2 quantify over families of two events or more
+    from causetlab.cli import main
+
+    argv = ["dom-axioms", "--model", str(data_dir / "diamond_uniform.json"), "--family-size", size]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "causetlab dom-axioms: family_size must be at least 2\n"
 
 
 def test_dom_axioms_command(data_dir):
@@ -479,6 +514,28 @@ def test_capped_canonical_output_is_pinned(data_dir, capsys, name, caps, command
     assert main([command, "--model", model, *extra, "--caps", caps]) == code
     expected = (golden / f"{name}.{command}.{caps.replace('=', '')}.out").read_text()
     assert capsys.readouterr().out == expected
+
+
+_SWEEP_MODELS = ("anti2_perf.json", "chain2_uniform.json", "cyclic.json", "diamond_uniform.json",
+                 "w_causet_uniform.json", "golden/anti2_q3.json", "golden/anti3_q2.json")
+
+
+@pytest.mark.parametrize("path", _SWEEP_MODELS)
+@pytest.mark.parametrize("caps", ["", "algebra=0", "algebra=1", "algebra=3", "algebra=7", "region=1",
+                                  "region=2,algebra=7"])
+@pytest.mark.parametrize("command, extra", [("check", ["--principle", "all"]), ("replicate", [])],
+                         ids=["check", "replicate"])
+def test_capped_sweep_output_is_pinned(data_dir, capsys, path, caps, command, extra):
+    # exit code and stdout digest of every sweep under caps that cut Gamma
+    # to a prefix of no, two or three cells, or skip regions; cyclic.json
+    # pins the usage-error path. capped_sweeps.json maps
+    # "<model> <command> <caps>" to [exit code, sha256 of stdout], taken
+    # from the per-history, per-cell and per-event table builds
+    from causetlab.cli import main
+
+    code, digest = json.loads((data_dir / "golden" / "capped_sweeps.json").read_text())[f"{path} {command} {caps}"]
+    assert main([command, "--model", str(data_dir / path), *extra, "--caps", caps]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 _SINGLETONS_Q3 = json.dumps([[k] for k in ("00", "10", "20", "01", "11", "21", "02", "12", "22")])

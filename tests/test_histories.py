@@ -20,7 +20,8 @@ from causetlab import (
     sample_events,
     validate_causet,
 )
-from causetlab.causet import _popcount
+from causetlab.causet import _bits, _popcount
+from causetlab.histories import gamma_capped
 
 from oracles import brute_axiom2, brute_axiom4, brute_decides, brute_dom, brute_gamma, brute_phi
 
@@ -173,6 +174,44 @@ def test_phi_count_ternary(anti2):
         cells = full_specifications(space, CANON, region)
         assert len(cells) == 3 ** _popcount(region)
         assert is_partition(space, cells)
+
+
+@pytest.mark.parametrize("q, max_n", [(2, 4), (3, 3), (4, 2)])
+def test_tables_keep_their_digit_order(q, max_n):
+    # the order every table is listed in reaches witnesses and CLI output;
+    # each is checked here against its definition by digits, h holding
+    # value (h // q^i) % q at element i
+    for n in range(1, max_n + 1):
+        for causet in enumerate_causets(n):
+            space = HistorySpace(causet, q)
+            histories = range(space.size)
+            for i in range(n):
+                assert space._value_masks[i] == [
+                    sum(1 << h for h in histories if space._value(h, i) == v) for v in range(q)
+                ]
+            assert [space.event_keys(1 << h) for h in histories] == [[space.history_key(h)] for h in histories]
+            for region in causet.regions():
+                idx = list(_bits(region))
+                cells = space.phi_cells(region)
+                assert list(cells) == [
+                    sum(
+                        1 << h for h in histories
+                        if all(space._value(h, i) == s // q ** j % q for j, i in enumerate(idx))
+                    )
+                    for s in range(q ** len(idx))
+                ]
+                # event s of Gamma is the union of the cells at the set bits of s
+                count = 1 << len(cells)
+                unions = [0]
+                for s in range(1, min(count, 1 << 16)):
+                    unions.append(unions[s & s - 1] | cells[(s & -s).bit_length() - 1])
+                caps = set(range(min(count, 300) + 2))
+                if count <= 1 << 10:
+                    caps |= {count - 1, count, count + 1}
+                for cap in sorted(caps):
+                    assert gamma_capped(space, CANON, region, cap) == (unions[:cap], cap < count)
+                expected = (unions, False) if count <= 1 << 16 else ([], True)
+                assert gamma_capped(space, CANON, region, None) == expected
 
 
 # -- composition ---------------------------------------------------------------------

@@ -669,6 +669,25 @@ def test_gap_closure_w_causet(w_causet):
     assert report.equal
 
 
+def test_gap_closure_reads_each_phi_once(monkeypatch):
+    # P1, both flanks and P2, one call each, however many cells they have
+    import causetlab.principles as principles
+
+    causet = validate_causet(["x", "y", "a", "b"], [("x", "a"), ("y", "b")])
+    model = _uniform_model(causet)
+    calls = []
+    real = principles.full_specifications
+
+    def counted(space, dom, region):
+        calls.append(region)
+        return real(space, dom, region)
+
+    monkeypatch.setattr(principles, "full_specifications", counted)
+    report = gap_closure_check(model, causet.region("a"), causet.region("b"))
+    assert report.equal and len(report.phi_p2) == 4
+    assert sorted(calls) == sorted([0, causet.region("x"), causet.region("y"), causet.region("x,y")])
+
+
 def test_gap_cylinder_count_identity(diamond, w_causet, chain3):
     # |Phi(P2)| = |Phi(P1)| * |Phi(X)| * |Phi(Y)| whenever P2 = X + Y + P1
     for causet in (diamond, w_causet, chain3):
