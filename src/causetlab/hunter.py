@@ -18,18 +18,26 @@ sweeps that caps cut short.
 Canonical form: the lexicographically minimal relation matrix over all
 relabelings, compared in expanding-submatrix block order (the block at depth
 d holds the entries between the element placed at d and those before it).
-It is computed by a level-wise search. At each depth it keeps every placed
-prefix whose blocks equal the least blocks reached at that depth, and
-extends each only by candidates whose next block is the least next block
-over all kept prefixes, since the next block is the very next key
-component. Each free element's block is one integer, `row << n | col`,
-extended by a shift and an or per placement. Of twin candidates, which share
-their successors and predecessors, only one is extended: swapping them is an
-automorphism fixing the placed prefix, so both give the same sequence (twin
-pruning). The prefixes left after the last depth are all the least
-labelings up to twin swaps, so the maps between them and the twin
-transpositions generate the automorphism group; the form keeps them, moved
-to its own positions (`_Canonical.automorphisms`).
+It is computed by a level-wise search on two facts. First, every least
+labeling begins with a maximum antichain, in any order: blocks 1..w-1 are
+all zero only for an antichain, and a longer run of zero blocks is smaller.
+So the search starts at depth w, the width, with one state per maximum
+antichain. Second, the placed elements can be kept as an ordered partition
+into cells whose inner order is not yet fixed: a cell's elements are
+mutually incomparable and relate alike to every other placed element, so
+every order of a cell gives the same blocks, and one state stands for all
+of them. Placing u splits each cell into its elements incomparable to u,
+then the rest, which all lie below u or all above it; those orders are
+exactly the ones that make u's block least, its row half first. u joins the
+last cell when it is a twin of that cell relative to the placed elements.
+At each depth the search keeps only the placements whose block is the least
+over all states, and merges equal states. Of twin candidates, which share
+their successors and predecessors, only one is placed: swapping them is an
+automorphism fixing the placed elements (twin pruning). A leaf's cells hold
+global twins, so one labeling per leaf, closed under twin swaps, gives every
+least labeling; the maps between the leaves' labelings and the twin
+transpositions generate the automorphism group, and the form keeps them,
+moved to its own positions (`_Canonical.automorphisms`).
 
 Enumeration extends each (n-1)-element representative by one new maximal
 element over every order ideal; every finite poset has a maximal element, so
@@ -91,9 +99,9 @@ class _Canonical(tuple):
 def canonical_form(lt: Sequence[int]) -> _Canonical:
     """Relabel a closed strict-order matrix (row i = mask of successors of i)
     to the form whose block sequence is least over all relabelings. The
-    level-wise search keeps every least labeling up to twin swaps; all give
-    this same matrix, which is read off the first. The maps from the first
-    to each other one and the twin transpositions, read on the form's
+    cell search (`_least_labelings`) gives one least labeling per leaf; all
+    give this same matrix, which is read off the first. The maps from the
+    first to each other one and the twin transpositions, read on the form's
     positions, generate its automorphism group (`automorphisms`)."""
     orders, twin = _least_labelings(lt)
     first = orders[0]
@@ -118,44 +126,88 @@ def canonical_form(lt: Sequence[int]) -> _Canonical:
 
 
 def _least_labelings(lt: Sequence[int]) -> tuple[list[list[int]], list[int]]:
-    """Every labeling (element placed at each position) whose block sequence
-    is least, up to twin swaps, and each element's least twin."""
+    """One labeling (element placed at each position) per leaf of the cell
+    search, which starts from the maximum antichains, and each element's
+    least twin. Closing the labelings under twin swaps gives every labeling
+    whose block sequence is least: a leaf's cells hold global twins, and
+    twin pruning skips only twin-swapped states."""
     n = len(lt)
     below = [0] * n
-    for i in range(n):
-        for j in _bits(lt[i]):
+    for i, row in enumerate(lt):
+        for j in _bits(row):
             below[j] |= 1 << i
     # twins (equal successor and predecessor masks) are swapped by an
     # automorphism that fixes every other element
-    twin = [
-        next(t for t in range(n) if lt[t] == lt[o] and below[t] == below[o])
-        for o in range(n)
-    ]
-    # a free element's block against the placed prefix is one int,
-    # row << n | col, earliest placed most significant in each half, so it
-    # orders blocks as their bit tuples would; placing o appends add[o][u]
-    add = [[(lt[u] >> o & 1) << n | (lt[o] >> u & 1) for u in range(n)] for o in range(n)]
-    level: list[tuple[list[int], list[tuple[int, int]]]] = [([], [(o, 0) for o in range(n)])]
-    for _ in range(n):
-        floor = min(k for _, free in level for _, k in free)
-        nxt = []
-        for order, free in level:
-            expanded = set()
-            for o, k in free:
-                if k != floor or twin[o] in expanded:
+    first: dict[tuple[int, int], int] = {}
+    twin = [first.setdefault(key, o) for o, key in enumerate(zip(lt, below))]
+    full = (1 << n) - 1
+    # the maximum antichains, each grown by later elements incomparable to
+    # all of it
+    grown = [(0, full)]
+    while True:
+        longer = [
+            (a | 1 << j, later >> j + 1 << j + 1 & ~(lt[j] | below[j]))
+            for a, later in grown
+            for j in _bits(later)
+        ]
+        if not longer:
+            break
+        grown = longer
+    # a state maps its cells, in order, to the mask of their elements
+    level = {(a,): a for a, _ in grown}
+    for _ in range(grown[0][0].bit_count(), n):
+        # a free element's least block over a state's orders is one int,
+        # row << n | col: each cell ends with its elements above u (ones in
+        # the row half) or below u (ones in the col half), never both, since
+        # a cell is an antichain
+        floor = -1
+        best: list[tuple[tuple[int, ...], int, int]] = []
+        for cells, placed in level.items():
+            sized = [(c, c.bit_count()) for c in cells]
+            tried = 0
+            for u in _bits(full & ~placed):
+                if tried >> twin[u] & 1:
                     continue
-                expanded.add(twin[o])
-                step = add[o]
-                nxt.append((order + [o], [(u, c << 1 | step[u]) for u, c in free if u != o]))
-        level = nxt
-    return [order for order, _ in level], twin
+                tried |= 1 << twin[u]
+                up, down = lt[u], below[u]
+                row = col = 0
+                for c, size in sized:
+                    row = row << size | (1 << (c & up).bit_count()) - 1
+                    col = col << size | (1 << (c & down).bit_count()) - 1
+                key = row << n | col
+                if key == floor:
+                    best.append((cells, placed, u))
+                elif key < floor or floor < 0:
+                    floor, best = key, [(cells, placed, u)]
+        # placing u puts each cell's elements incomparable to u first, which
+        # gives u that least block; x stands for the last cell, which u
+        # joins when the two are twins relative to the placed elements
+        level = {}
+        for cells, placed, u in best:
+            up, down = lt[u], below[u]
+            split = []
+            for c in cells:
+                related = c & (up | down)
+                split += [part for part in (c & ~related, related) if part]
+            x = (split[-1] & -split[-1]).bit_length() - 1
+            if ((lt[x] ^ up) | (below[x] ^ down)) & placed:
+                split.append(1 << u)
+            else:
+                split[-1] |= 1 << u
+            level[tuple(split)] = placed | 1 << u
+    return [[i for c in cells for i in _bits(c)] for cells in level], twin
 
 
 def _order_ideals(below: Sequence[int]) -> Iterator[int]:
     """Down-closed subsets of a strict order, as masks, ascending; below[i]
-    is the mask of the elements before i."""
-    for m in range(1 << len(below)):
-        if all(below[i] & ~m == 0 for i in _bits(m)):
+    is the mask of the elements before i. down[m], the union of below[i]
+    over i in m, is filled in from m without its lowest bit."""
+    yield 0
+    down = [0] * (1 << len(below))
+    for m in range(1, len(down)):
+        low = m & -m
+        d = down[m] = down[m ^ low] | below[low.bit_length() - 1]
+        if not d & ~m:
             yield m
 
 

@@ -171,11 +171,8 @@ class MeasureTable:
         """Nonzero weights as "p/q" strings keyed by history string (for
         fingerprints and model files)."""
         d = self.denominator
-        return {
-            self.space.history_key(h): str(Fraction(k, d))
-            for h, k in enumerate(self.masses)
-            if k
-        }
+        keys = self.space._history_keys
+        return {keys[h]: str(Fraction(k, d)) for h, k in enumerate(self.masses) if k}
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits as the bytes 0 and 1

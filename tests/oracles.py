@@ -233,25 +233,35 @@ def brute_automorphisms(rows):
     ]
 
 
+def _relabelled(rows, perm):
+    """The matrix with perm[a] placed at position a, and its block sequence:
+    block d holds the row entries (d, j), then the column entries (j, d),
+    for j < d."""
+    n = len(rows)
+    matrix = [
+        sum((rows[perm[a]] >> perm[b] & 1) << b for b in range(n))
+        for a in range(n)
+    ]
+    blocks = [
+        tuple(matrix[d] >> j & 1 for j in range(d))
+        + tuple(matrix[j] >> d & 1 for j in range(d))
+        for d in range(n)
+    ]
+    return blocks, tuple(matrix)
+
+
 def brute_canonical_form(rows):
     """The relabelled matrix whose block sequence is least over all n!
-    relabelings; block d holds the row entries (d, j), then the column
-    entries (j, d), for j < d."""
-    n = len(rows)
-    best = None
-    for perm in permutations(range(n)):
-        matrix = [
-            sum((rows[perm[a]] >> perm[b] & 1) << b for b in range(n))
-            for a in range(n)
-        ]
-        blocks = [
-            tuple(matrix[d] >> j & 1 for j in range(d))
-            + tuple(matrix[j] >> d & 1 for j in range(d))
-            for d in range(n)
-        ]
-        if best is None or blocks < best[0]:
-            best = (blocks, tuple(matrix))
-    return best[1]
+    relabelings."""
+    return min(_relabelled(rows, perm) for perm in permutations(range(len(rows))))[1]
+
+
+def brute_least_labelings(rows):
+    """Every labeling (the element placed at each position) whose block
+    sequence is least over all n! relabelings."""
+    labelings = {perm: _relabelled(rows, perm)[0] for perm in permutations(range(len(rows)))}
+    least = min(labelings.values())
+    return {perm for perm, blocks in labelings.items() if blocks == least}
 
 
 # -- probability ---------------------------------------------------------------

@@ -23,7 +23,12 @@ from causetlab import (
 from causetlab import hunter
 from causetlab.hunter import _representatives, canonical_form
 
-from oracles import brute_automorphisms, brute_canonical_form, brute_poset_count
+from oracles import (
+    brute_automorphisms,
+    brute_canonical_form,
+    brute_least_labelings,
+    brute_poset_count,
+)
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -94,6 +99,64 @@ def test_canonical_form_matches_brute_force_on_relabelings():
                 perm = list(range(n))
                 rng.shuffle(perm)
                 assert canonical_form(_relabel(rows, perm)) == expected
+
+
+def _twin_closure(orders, twin):
+    """The labelings reached from orders by swapping twins."""
+    closed = set(map(tuple, orders))
+    frontier = list(closed)
+    for order in frontier:
+        for o, t in enumerate(twin):
+            if t != o:
+                swapped = tuple(t if a == o else o if a == t else a for a in order)
+                if swapped not in closed:
+                    closed.add(swapped)
+                    frontier.append(swapped)
+    return closed
+
+
+def _width(rows):
+    n = len(rows)
+    return max(
+        m.bit_count() for m in range(1 << n)
+        if not any(m >> i & 1 and rows[i] & m for i in range(n))
+    )
+
+
+def test_least_labelings_match_brute_force():
+    # the orders, closed under twin swaps, are every least labeling, and
+    # each begins with a maximum antichain
+    rng = random.Random(25)
+    inputs = []
+    for n in range(1, 6):
+        for rows in _representatives(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            inputs += [rows, _relabel(rows, perm)]
+    for rows in rng.sample(_representatives(6), 40):
+        perm = list(range(6))
+        rng.shuffle(perm)
+        inputs.append(_relabel(rows, perm))
+    for rows in inputs:
+        orders, twin = hunter._least_labelings(rows)
+        labelings = brute_least_labelings(rows)
+        assert _twin_closure(orders, twin) == labelings
+        w = _width(rows)
+        for labeling in labelings:
+            antichain = sum(1 << a for a in labeling[:w])
+            assert not any(rows[a] & antichain for a in labeling[:w])
+
+
+def test_order_ideals_are_the_down_closed_masks_ascending():
+    # orbit pruning tries the first ideal of each orbit, so the order counts
+    for n in range(1, 7):
+        for rows in _representatives(n):
+            below = [sum(1 << i for i in range(n) if rows[i] >> j & 1) for j in range(n)]
+            expected = [
+                m for m in range(1 << n)
+                if all(below[j] & ~m == 0 for j in range(n) if m >> j & 1)
+            ]
+            assert list(hunter._order_ideals(below)) == expected
 
 
 def test_deletion_pruning_keeps_every_class(monkeypatch):
