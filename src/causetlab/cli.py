@@ -215,6 +215,9 @@ def cmd_fullspec(args) -> int:
 def cmd_dom_axioms(args) -> int:
     from .histories import check_dom_axioms, sample_events
 
+    # an empty sample would pass every axiom vacuously
+    if args.events is not None and args.events < 1:
+        raise LabError(f"cannot sample {args.events} distinct events: --events must be at least 1")
     # not load_model: building a Model sweeps an explicit map exhaustively
     # before the check asked for here, whatever --events says
     data = load_json_file(args.model)
@@ -222,7 +225,7 @@ def cmd_dom_axioms(args) -> int:
     dom = dom_from_data(space, data.get("dom"))
     measure_from_data(space, data.get("measure"))  # a malformed file is still refused
     universe = None
-    if args.events:
+    if args.events is not None:
         # an explicit map is defined on its own universe only
         defined = None if dom.is_canonical else list(dom.events(space))
         universe = sample_events(space, args.events, args.seed, defined)
@@ -247,7 +250,10 @@ def cmd_ccs(args) -> int:
         out["common_cause"] = verdict.to_json()
         ok = verdict.qualifies
     elif args.partition is not None:
-        cells = [parse_event(model.space, spec) for spec in json.loads(args.partition)]
+        specs = json.loads(args.partition)
+        if not isinstance(specs, list):
+            raise LabError(f"--partition must be a JSON list of events, got {args.partition!r}")
+        cells = [parse_event(model.space, spec) for spec in specs]
         verdict = is_ccs(m, a, b, cells, args.zero_screener)
         out["ccs"] = verdict.to_json()
         ok = verdict.qualifies

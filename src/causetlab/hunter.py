@@ -68,7 +68,7 @@ from .causet import Causet, _bits
 from .errors import LimitError
 from .histories import HistorySpace, check_space_limits
 from .measure import MeasureTable
-from .modelio import model_from_data
+from .modelio import _is_json_int, model_from_data
 from .principles import (
     PRINCIPLES,
     Caps,
@@ -639,11 +639,22 @@ def _read_checkpoint(path: str | None, config: SearchConfig) -> tuple[int, _Tota
         raise ValueError("resume requested without a checkpoint path")
     with open(path, encoding="utf-8") as fh:
         state = json.load(fh)
-    names = vars(_Totals()).keys()
+    if not isinstance(state, dict):
+        raise ValueError("checkpoint must hold a JSON object")
+    empty = vars(_Totals())
     # a checkpoint without every total cannot give the full summary either
-    if state.get("config_digest") != _checkpoint_digest(config) or names - state.keys():
+    if state.get("config_digest") != _checkpoint_digest(config) or empty.keys() - state.keys():
         raise ValueError("checkpoint belongs to a different hunt configuration")
-    return state["last_completed_index"], _Totals(**{name: state[name] for name in names})
+    if not _is_json_int(state.get("last_completed_index")):
+        raise ValueError("checkpoint's last_completed_index must be an integer")
+    for name, like in empty.items():
+        value = state[name]
+        if isinstance(like, dict):
+            if not (isinstance(value, dict) and all(map(_is_json_int, value.values()))):
+                raise ValueError(f"checkpoint's {name} must map names to integers")
+        elif not _is_json_int(value):
+            raise ValueError(f"checkpoint's {name} must be an integer")
+    return state["last_completed_index"], _Totals(**{name: state[name] for name in empty})
 
 
 def replay_finding(finding: dict | Finding) -> str:

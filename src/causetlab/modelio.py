@@ -48,12 +48,23 @@ def load_json_file(path: str) -> dict:
     return data
 
 
+def _is_labels(value: Any) -> bool:
+    """A JSON list of strings."""
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def causet_from_data(data: Mapping[str, Any]) -> Causet:
     body = data.get("causet", data)
+    if not isinstance(body, dict):
+        raise ModelFileError(f"causet must be an object, got {body!r}")
     if "elements" not in body:
         raise ModelFileError("no 'elements' in causet description")
-    relations = [tuple(p) for p in body.get("relations", [])]
-    return validate_causet(body["elements"], relations)
+    elements, relations = body["elements"], body.get("relations", [])
+    if not _is_labels(elements):
+        raise ModelFileError(f"elements must be a list of strings: {elements!r}")
+    if not (isinstance(relations, list) and all(_is_labels(p) and len(p) == 2 for p in relations)):
+        raise ModelFileError(f"relations must be a list of [label, label] pairs: {relations!r}")
+    return validate_causet(elements, [tuple(p) for p in relations])
 
 
 def _is_json_int(value: Any) -> bool:
@@ -70,9 +81,10 @@ def space_from_data(data: Mapping[str, Any]) -> HistorySpace:
 
 
 def parse_region(causet: Causet, spec: Any) -> Region:
-    if isinstance(spec, str):
-        return causet.region(spec)
-    return causet.region(list(spec))
+    """A region written as "a,b" or as a list of labels."""
+    if not (isinstance(spec, str) or _is_labels(spec)):
+        raise ModelFileError(f"a region must be a string or a list of labels: {spec!r}")
+    return causet.region(spec)
 
 
 def parse_event(space: HistorySpace, spec: Any) -> Event:

@@ -15,23 +15,25 @@ versus SO2 stays per-model data; `replicate_so1_to_so2` and
 `gap_closure_check` re-verify the derivation step by step.
 
 A sweep has two parts. Its plan (`_SweepPlan`) is everything the measure
-does not decide: per screener family (p1 or p2, built on first use), one
-`_PairPlan` per spacelike pair in sweep order, with the events both sides
-range over (`_decision_events`), the screeners and how many event pairs
-they cover. Pairs the region cap skips and pairs with an empty side are
-flagged and never evaluated. A plan depends only on the history space, the
-dom and the caps, so plans of canonical doms are cached per space and caps
-(weakly: a plan goes with its space) and every measure on a space shares
-one; explicit dom maps are planned afresh on every call. A plan also keeps,
-per region, the capped Gamma that witnesses are listed over. No measure's
-outcome reaches a plan. The evaluation (`_decider`) only does mass work:
-canonical doms are decided on pairs of Phi cells, explicit doms event by
-event, both through the screening kernel `measure._screen_failures`. A
-verdict is summed in one pass over its family's pair plans (`_assemble`),
-keeps only the failing pairs and lists its witnesses, every failing event
-triple of the sweep, lazily from them. Replication steps 1-2 are decided
-on the same events and list their failures only for a failing screener
-block.
+does not decide. Per screener family (p1 or p2, built on first use) it
+holds one `_PairPlan` per spacelike pair in sweep order, made of region
+facts alone; pairs the region cap skips and pairs with an empty side are
+flagged there and never evaluated. Per region, built when something reads
+it and shared by every pair, family and measure, it holds the events a
+decision ranges over, the screeners Phi(region) and the capped Gamma that
+witnesses are listed over; canonical doms count in closed form, so a pair
+no decision reads builds nothing. A plan depends only on the history
+space, the dom and the caps, so plans of canonical doms are cached per
+space and caps (weakly: a plan goes with its space) and every measure on a
+space shares one; explicit dom maps are planned afresh on every call. No
+measure's outcome reaches a plan. The evaluation (`_decider`) only does
+mass work: canonical doms are decided on pairs of Phi cells, explicit doms
+event by event, both through the screening kernel
+`measure._screen_failures`. A verdict is summed in one pass over its
+family's pair plans (`_assemble`), keeps only the failing pairs and lists
+its witnesses, every failing event triple of the sweep, lazily from them.
+Replication and the gap check read the same plan: steps 1-2 are decided on
+the same events and list their failures only for a failing screener block.
 
 Verdicts are deterministic: identical model and caps give byte-identical
 reports. Every decision is replayed where it is made (`_replayed`): each
@@ -290,12 +292,11 @@ class _FamilyOutcome(NamedTuple):
 
 
 class _PairPlan(NamedTuple):
-    """One screener family on one spacelike pair, for every measure: the
-    screener region `past`, the events the decision on both sides ranges
-    over (`_decision_events`), how many event pairs the capped Gammas form,
-    whether a cap cut either algebra short, and the screeners Phi(past) with
-    their number. A pair the region cap skips (`skipped`) or with an empty
-    side (`trivial`) is never evaluated; a skipped pair holds no counts."""
+    """One spacelike pair under one screener family, as regions alone: its
+    sides, whether both are causally finite, whether the region cap skips it
+    (`skipped`) or a side is empty (`trivial`), and the screener region
+    `past`. What a decision ranges over belongs to the regions and is the
+    sweep plan's (`_SweepPlan`)."""
 
     ra: Region
     rb: Region
@@ -303,12 +304,6 @@ class _PairPlan(NamedTuple):
     skipped: bool
     trivial: bool
     past: Region
-    events_a: tuple[Event, ...] = ()
-    events_b: tuple[Event, ...] = ()
-    event_pairs: int = 0
-    truncated: bool = False
-    screeners: tuple[Event, ...] = ()
-    screener_count: int = 0
 
 
 _COUNT_KEYS = (
@@ -322,64 +317,14 @@ _COUNT_KEYS = (
 )
 
 
-def _decision_events(
-    space: HistorySpace, dom: DomMap, region: Region, cap: int
-) -> tuple[tuple[Event, ...], int, bool]:
-    """(events, take, truncated): what a decision over the capped
-    Gamma(region) ranges over, how many events the cap takes, and whether it
-    leaves some out. Canonical doms range over the cells the capped prefix is
-    made of (`capped_gamma_cells`), explicit doms over the capped Gamma itself."""
-    if dom.is_canonical:
-        take, truncated = capped_gamma_size(space, region, cap)
-        return capped_gamma_cells(space, region, take), take, truncated
-    events, truncated = gamma_capped(space, dom, region, cap)
-    return tuple(events), len(events), truncated
-
-
-def _pair_plan(
-    space: HistorySpace,
-    dom: DomMap,
-    ra: Region,
-    rb: Region,
-    finite: bool,
-    skipped: bool,
-    past: Region,
-    cap: int,
-) -> _PairPlan:
-    """The plan of (ra, rb) with screener region `past` under algebra cap
-    `cap`. Under a canonical dom, a pair with an empty side ranges only over
-    events in {empty, Omega}, for which mu(A&B|C) = mu(A|C)mu(B|C) holds
-    identically, for every measure: nothing is built for it, but its
-    coverage is real and counted in closed form, and a cap that cuts either
-    algebra short marks the verdict capped. Under an explicit map, the map's
-    own Gamma and Phi count it."""
-    if skipped:
-        return _PairPlan(ra, rb, finite, True, False, past)
-    trivial = not (ra and rb)
-    if trivial and dom.is_canonical:
-        (take_a, trunc_a), (take_b, trunc_b) = (capped_gamma_size(space, r, cap) for r in (ra, rb))
-        events_a = events_b = screeners = ()
-        count = space.q ** _popcount(past)
-    else:
-        events_a, take_a, trunc_a = _decision_events(space, dom, ra, cap)
-        events_b, take_b, trunc_b = _decision_events(space, dom, rb, cap)
-        if dom.is_canonical:
-            screeners = space.phi_cells(past)
-        else:
-            screeners = tuple(full_specifications(space, dom, past))
-        count = len(screeners)
-    return _PairPlan(
-        ra, rb, finite, False, trivial, past, events_a, events_b, take_a * take_b, trunc_a or trunc_b,
-        screeners, count,
-    )
-
-
 class _SweepPlan:
-    """The measure-independent part of a sweep: per family ("p1" or "p2"),
-    the `_PairPlan` of every spacelike pair in sweep order, built on first
-    use, and the capped Gamma list of each region something is listed over.
-    It holds no reference to its space, so a cached plan does not keep the
-    space alive."""
+    """The measure-independent part of a sweep. Per family ("p1" or "p2"),
+    the `_PairPlan` of every spacelike pair in sweep order; per region, the
+    events a decision over it ranges over with the cap's take and truncation
+    (`events`), its screeners Phi(region) (`screeners`) and the capped Gamma
+    witnesses are listed over (`gamma`). Each is built on first use and
+    shared by every pair, family and measure that reads it. It holds no
+    reference to its space, so a cached plan does not keep the space alive."""
 
     def __init__(self, causet: Causet, dom: DomMap, caps: Caps):
         self._causet = causet
@@ -387,21 +332,67 @@ class _SweepPlan:
         self._caps = caps
         self._finite = cache(causet.is_causally_finite)
         self._families: dict[str, tuple[_PairPlan, ...]] = {}
-        self._gamma: dict[Region, list[Event]] = {}
+        self._events: dict[Region, tuple[tuple[Event, ...], int, bool]] = {}
+        self._screeners: dict[Region, tuple[Event, ...]] = {}
+        self._gamma: dict[Region, Sequence[Event]] = {}
+        self._exact: bool | None = None
 
-    def gamma(self, space: HistorySpace, region: Region) -> list[Event]:
-        """The capped Gamma(region), in the sweep's order."""
+    def events(self, space: HistorySpace, region: Region) -> tuple[tuple[Event, ...], int, bool]:
+        """(events, take, truncated): what a decision over the capped
+        Gamma(region) ranges over, how many events the cap takes, and whether
+        it leaves some out. Canonical doms range over the cells the capped
+        prefix is made of (`capped_gamma_cells`), explicit doms over the
+        capped Gamma itself."""
+        got = self._events.get(region)
+        if got is None:
+            if self._dom.is_canonical:
+                take, truncated = capped_gamma_size(space, region, self._caps.algebra)
+                got = capped_gamma_cells(space, region, take), take, truncated
+            else:
+                events, truncated = gamma_capped(space, self._dom, region, self._caps.algebra)
+                got = tuple(events), len(events), truncated
+            self._events[region] = got
+        return got
+
+    def screeners(self, space: HistorySpace, region: Region) -> tuple[Event, ...]:
+        """Phi(region), the screeners conditioned on."""
+        got = self._screeners.get(region)
+        if got is None:
+            got = self._screeners[region] = tuple(full_specifications(space, self._dom, region))
+        return got
+
+    def gamma(self, space: HistorySpace, region: Region) -> Sequence[Event]:
+        """The capped Gamma(region), in the sweep's order; on explicit doms
+        the decision events themselves."""
+        if not self._dom.is_canonical:
+            return self.events(space, region)[0]
         got = self._gamma.get(region)
         if got is None:
             got = self._gamma[region] = gamma_capped(space, self._dom, region, self._caps.algebra)[0]
         return got
 
+    def counts(self, space: HistorySpace, pair: _PairPlan) -> tuple[int, int, bool]:
+        """(event pairs, screeners, truncated) of a pair the region cap does
+        not skip. Canonical doms count in closed form, so a pair no decision
+        reads builds no Gamma and no Phi; an explicit map counts its own."""
+        if self._dom.is_canonical:
+            sizes = [capped_gamma_size(space, r, self._caps.algebra) for r in (pair.ra, pair.rb)]
+            screeners = space.q ** _popcount(pair.past)
+        else:
+            sizes = [self.events(space, r)[1:] for r in (pair.ra, pair.rb)]
+            screeners = len(self.screeners(space, pair.past))
+        (take_a, trunc_a), (take_b, trunc_b) = sizes
+        return take_a * take_b, screeners, trunc_a or trunc_b
+
     def exact(self, space: HistorySpace) -> bool:
-        """Is every pair with two nonempty sides, in both families, decided on
-        all its cells: a canonical dom, and none skipped or truncated?"""
-        return self._dom.is_canonical and not any(
-            p.skipped or p.truncated and not p.trivial for fam in ("p1", "p2") for p in self.family(space, fam)
-        )
+        """Is every pair with two nonempty sides decided on all its cells: a
+        canonical dom, and none skipped or truncated? The two families range
+        over the same pairs, so one is read, once per plan."""
+        if self._exact is None:
+            self._exact = self._dom.is_canonical and not any(
+                p.skipped or not p.trivial and self.counts(space, p)[2] for p in self.family(space, "p1")
+            )
+        return self._exact
 
     def family(self, space: HistorySpace, fam: str) -> tuple[_PairPlan, ...]:
         got = self._families.get(fam)
@@ -409,10 +400,10 @@ class _SweepPlan:
             causet, finite, size = self._causet, self._finite, self._caps.region_size
             past = causet.mutual_past if fam == "p1" else causet.truncated_joint_past
             got = self._families[fam] = tuple(
-                _pair_plan(
-                    space, self._dom, ra, rb, finite(ra) and finite(rb),
+                _PairPlan(
+                    ra, rb, finite(ra) and finite(rb),
                     bool(ra and rb) and max(_popcount(ra), _popcount(rb)) > size,
-                    past(ra, rb), self._caps.algebra,
+                    not (ra and rb), past(ra, rb),
                 )
                 for ra, rb in causet.spacelike_pairs()
             )
@@ -429,36 +420,36 @@ def _plan(space: HistorySpace, dom: DomMap, caps: Caps) -> _SweepPlan:
     if not dom.is_canonical:
         return _SweepPlan(space.causet, dom, caps)
     plans = _PLANS.setdefault(space, {})
-    plan = plans.get(caps)
-    if plan is None:
-        plan = plans[caps] = _SweepPlan(space.causet, dom, caps)
-    return plan
+    if caps not in plans:
+        plans[caps] = _SweepPlan(space.causet, dom, caps)
+    return plans[caps]
 
 
 def _screened(
-    measure: MeasureTable, ra: Region, rb: Region, plan: _PairPlan, first_only: bool
+    measure: MeasureTable, ra: Region, rb: Region, events_a: Sequence[Event], events_b: Sequence[Event],
+    screeners: Sequence[Event], first_only: bool,
 ) -> Iterator[_FamilyOutcome]:
-    """Screening decision over Gamma(ra) x Gamma(rb) x Phi(screener region),
-    on the events and screeners of `plan`, screener by screener: one outcome
-    per failing screener, holding it and the zero-mass screeners met since
-    the previous one, then one holding the zero-mass screeners after the
-    last. The first outcome is the decision up to the first failing
-    screener; all of them, joined, are the whole decision (`_decider`).
+    """Screening decision of the pair (ra, rb) over events_a x events_b x
+    screeners, screener by screener: one outcome per failing screener,
+    holding it and the zero-mass screeners met since the previous one, then
+    one holding the zero-mass screeners after the last. The first outcome is
+    the decision up to the first failing screener; all of them, joined, are
+    the whole decision (`_decider`).
 
     Canonical doms: every event of Gamma(R) is a union of Phi(R) cells, and
     mu(A&B&C) mu(C) - mu(A&C) mu(B&C) is bilinear in the cell indicators of
     A and B, so C fails on some event pair iff it fails on a cell pair inside
-    it; `_decision_events` keeps the decision exact under any algebra cap.
-    Explicit doms (`first_only`): the direct loop over Gamma, up to each
-    screener's first failure.
+    it; deciding on the cells (`_SweepPlan.events`) keeps the decision exact
+    under any algebra cap. Explicit doms (`first_only`): the direct loop over
+    Gamma, up to each screener's first failure.
     """
     mass = measure.mass
     zero: list[Event] = []
-    for c in plan.screeners:
+    for c in screeners:
         if mass(c) == 0:
             zero.append(c)
             continue
-        found = _screen_failures(measure, plan.events_a, plan.events_b, c)
+        found = _screen_failures(measure, events_a, events_b, c)
         pairs = tuple(islice(found, 1) if first_only else found)
         if pairs:
             yield _FamilyOutcome(((ra, rb, c, pairs),), tuple(zero))
@@ -477,21 +468,25 @@ def _replayed(measure: MeasureTable, outcome: _FamilyOutcome) -> _FamilyOutcome:
     return outcome
 
 
-def _decider(model: Model, whole: bool) -> Callable[[_PairPlan], _FamilyOutcome]:
-    """The model's measure deciding pair plans that are neither skipped nor
-    trivial: `_screened` read to the end (`whole`) or up to its first
-    outcome, replayed (`_replayed`) as it is decided. Decisions are kept per
+def _decider(model: Model, plan: _SweepPlan, whole: bool) -> Callable[[_PairPlan], _FamilyOutcome]:
+    """The model's measure deciding pairs that are neither skipped nor
+    trivial, on the events and screeners `plan` holds for their regions:
+    `_screened` read to the end (`whole`) or up to its first outcome,
+    replayed (`_replayed`) as it is decided. Decisions are kept per
     (ra, rb, past), so SOk and FIN-SOk share each one, as do the two
     families on a pair whose mutual and truncated joint pasts coincide."""
-    measure = model.measure
+    space, measure = model.space, model.measure
     first_only = not model.dom.is_canonical
     decided: dict[tuple[Region, Region, Region], _FamilyOutcome] = {}
 
-    def decide(plan: _PairPlan) -> _FamilyOutcome:
-        key = plan.ra, plan.rb, plan.past
+    def decide(pair: _PairPlan) -> _FamilyOutcome:
+        key = pair.ra, pair.rb, pair.past
         outcome = decided.get(key)
         if outcome is None:
-            outcomes = _screened(measure, plan.ra, plan.rb, plan, first_only)
+            outcomes = _screened(
+                measure, pair.ra, pair.rb, plan.events(space, pair.ra)[0], plan.events(space, pair.rb)[0],
+                plan.screeners(space, pair.past), first_only,
+            )
             if whole:
                 outcomes = list(outcomes)
                 outcome = _FamilyOutcome(
@@ -507,14 +502,18 @@ def _decider(model: Model, whole: bool) -> Callable[[_PairPlan], _FamilyOutcome]
 
 
 def _eval_family(
-    model: Model, ra: Region, rb: Region, screener_region: Region, cap: int
+    model: Model, plan: _SweepPlan, ra: Region, rb: Region, screener_region: Region
 ) -> tuple[bool, _FamilyOutcome]:
     """Whether a cap cut either algebra short, and one family's whole
-    decision on one pair, with no region cap: the replication precheck. A
-    canonical pair with an empty side plans no screeners, so nothing fails
-    on it; an explicit map's is decided like any other pair."""
-    plan = _pair_plan(model.space, model.dom, ra, rb, False, False, screener_region, cap)
-    return plan.truncated, _decider(model, True)(plan)
+    decision on one pair, with no region cap, from the tables of `plan`:
+    the replication precheck. Under a canonical dom a pair with an empty
+    side cannot fail, so nothing is built for it; an explicit map's is
+    decided like any other pair."""
+    pair = _PairPlan(ra, rb, False, False, not (ra and rb), screener_region)
+    truncated = plan.counts(model.space, pair)[2]
+    if pair.trivial and model.dom.is_canonical:
+        return truncated, _FamilyOutcome()
+    return truncated, _decider(model, plan, True)(pair)
 
 
 def _witnesses(
@@ -542,14 +541,14 @@ def _assemble(
     zero_mode: str,
 ) -> Verdict:
     """One principle's verdict in one pass over its family's pair plans:
-    every count and the capped flag, and what `decide` makes of each pair
-    that is neither skipped nor trivial."""
-    finite_only = _FINITE_ONLY[principle]
+    every count and the capped flag (`_SweepPlan.counts`), and what `decide`
+    makes of each pair that is neither skipped nor trivial."""
+    space, finite_only = model.space, _FINITE_ONLY[principle]
     counts = dict.fromkeys(_COUNT_KEYS, 0)
     capped = False
     failures: list[Failure] = []
     zero_cells: list[tuple[Region, Region, Event]] = []
-    for pair in plan.family(model.space, _FAMILY[principle]):
+    for pair in plan.family(space, _FAMILY[principle]):
         if finite_only and not pair.finite:
             continue
         if pair.skipped:
@@ -557,9 +556,10 @@ def _assemble(
             capped = True
             continue
         counts["region_pairs"] += 1
-        counts["event_pairs"] += pair.event_pairs
-        counts["screeners"] += pair.screener_count
-        capped = capped or pair.truncated
+        event_pairs, screeners, truncated = plan.counts(space, pair)
+        counts["event_pairs"] += event_pairs
+        counts["screeners"] += screeners
+        capped = capped or truncated
         zero = 0
         if not pair.trivial:
             outcome = decide(pair)
@@ -569,7 +569,7 @@ def _assemble(
             failures.extend(outcome.failing)
             if zero_mode == "strict":
                 zero_cells.extend((pair.ra, pair.rb, c) for c in outcome.zero_screeners)
-        counts["screening_tests"] += pair.event_pairs * (pair.screener_count - zero)
+        counts["screening_tests"] += event_pairs * (screeners - zero)
     warning = None
     if not model.axiom_ok:
         warning = "dom axioms violated on this model; verdict computed under force"
@@ -608,7 +608,7 @@ def check_principle(
         raise ValueError(f"unknown principle {which!r}")
     caps = caps or Caps()
     plan = _plan(model.space, model.dom, caps)
-    return _assemble(model, plan, which, _decider(model, True), zero_mode)
+    return _assemble(model, plan, which, _decider(model, plan, True), zero_mode)
 
 
 class ImplicationMatrix(NamedTuple):
@@ -659,16 +659,13 @@ def implication_matrix(
     """
     caps = caps or Caps()
     plan = _plan(model.space, model.dom, caps)
-    decide = _decider(model, True)
+    decide = _decider(model, plan, True)
     verdicts = {p: _assemble(model, plan, p, decide, zero_mode) for p in PRINCIPLES}
     _check_subset_implications({p: verdicts[p].satisfied for p in PRINCIPLES}, plan.exact(model.space))
-    implications = {}
-    for p in PRINCIPLES:
-        for q in PRINCIPLES:
-            if p != q:
-                implications[f"{p}=>{q}"] = (
-                    not verdicts[p].satisfied or verdicts[q].satisfied
-                )
+    implications = {
+        f"{p}=>{q}": not verdicts[p].satisfied or verdicts[q].satisfied
+        for p in PRINCIPLES for q in PRINCIPLES if p != q
+    }
     return ImplicationMatrix(verdicts, implications)
 
 
@@ -703,7 +700,7 @@ def first_witnesses(model: Model, caps: Caps | None = None) -> dict[str, Witness
     """
     caps = caps or Caps()
     plan = _plan(model.space, model.dom, caps)
-    decide = _decider(model, False)
+    decide = _decider(model, plan, False)
     first: dict[str, Failure] = {}
     for fam in ("p1", "p2"):
         ranging = [p for p in PRINCIPLES if _FAMILY[p] == fam]
@@ -775,6 +772,17 @@ class ReplicationReport(NamedTuple):
         }
 
 
+def _gap_screeners(
+    model: Model, plan: _SweepPlan, ra: Region, rb: Region
+) -> tuple[Sequence[Event], Sequence[Event], Sequence[Event], set[Event]]:
+    """Phi(X) and Phi(Y) of the flanks, Phi(P1) and the set Phi(P2) of the
+    pair's two pasts, read from `plan`: what replication and the gap closure
+    check range over."""
+    causet, phi = model.causet, partial(plan.screeners, model.space)
+    x, y = causet.flank_regions(ra, rb)
+    return phi(x), phi(y), phi(causet.mutual_past(ra, rb)), set(phi(causet.truncated_joint_past(ra, rb)))
+
+
 def _step1_failures(
     measure: MeasureTable, events_a: Sequence[Event], events_b: Sequence[Event], x: Event, y: Event, c: Event
 ) -> Iterator[tuple[str, Event, Event]]:
@@ -809,11 +817,11 @@ def replicate_so1_to_so2(
     Step 2: whenever mu(X&Y&C) > 0, conditioning on X&Y&C factorizes A and B.
     Step 3: C&X&Y is a (nonempty) full specification of P2(ra, rb).
 
-    Steps 1-2 are decided per (X, Y, C) block on cells, like the sweep; only
-    a failing block lists its failures over the capped Gamma. Like the
-    sweep's decisions, each failing block's listed pairs are replayed
-    together (`replay_screen_failures`), and so is the zero mass of each C
-    or K that skips a block. With canonical doms and an untruncated
+    Steps 1-2 are decided per (X, Y, C) block on the events and Phi of the
+    sweep plan for `caps`; only a failing block lists its failures over the
+    capped Gamma. Like the sweep's decisions, each failing block's pairs are
+    replayed together (`replay_screen_failures`), and so is the zero mass of
+    each C or K that skips a block. With canonical doms and an untruncated
     precheck steps 1-2 follow from SO1 on the enlarged pair (decomposition,
     weak union), so a failure there raises InternalConsistencyError.
     """
@@ -822,11 +830,12 @@ def replicate_so1_to_so2(
     if not causet.is_spacelike(ra, rb):
         raise NotSpacelikeError("replication needs a spacelike pair")
     x, y = causet.flank_regions(ra, rb)
+    plan = _plan(space, dom, caps)
     prechecks = [
-        _eval_family(model, pa, pb, causet.mutual_past(pa, pb), caps.algebra)
+        _eval_family(model, plan, pa, pb, causet.mutual_past(pa, pb))
         for pa, pb in ((ra, rb), (ra | x, rb | y))
     ]
-    gamma = partial(_plan(space, dom, caps).gamma, space)
+    gamma = partial(plan.gamma, space)
     precheck_failures = sum(
         1
         for _, o in prechecks
@@ -835,12 +844,8 @@ def replicate_so1_to_so2(
     )
     if precheck_failures:
         return ReplicationReport(ra, rb, False, precheck_failures, ())
-    events_a, take_a, _ = _decision_events(space, dom, ra, caps.algebra)
-    events_b, take_b, _ = _decision_events(space, dom, rb, caps.algebra)
-    phi_x = full_specifications(space, dom, x)
-    phi_y = full_specifications(space, dom, y)
-    phi_p1 = full_specifications(space, dom, causet.mutual_past(ra, rb))
-    phi_p2 = set(full_specifications(space, dom, causet.truncated_joint_past(ra, rb)))
+    (events_a, take_a, _), (events_b, take_b, _) = plan.events(space, ra), plan.events(space, rb)
+    phi_x, phi_y, phi_p1, phi_p2 = _gap_screeners(model, plan, ra, rb)
 
     step1: list[dict] = []
     step2: list[dict] = []
@@ -918,12 +923,7 @@ class GapReport(NamedTuple):
 def gap_closure_check(model: Model, ra: Region, rb: Region) -> GapReport:
     """Does {C&X&Y : C in Phi(P1), X in Phi(flank a), Y in Phi(flank b)},
     dropping empties, exhaust Phi(P2)? Reports equality or the differences."""
-    space, dom, causet = model.space, model.dom, model.causet
-    x, y = causet.flank_regions(ra, rb)
-    phi_p1 = full_specifications(space, dom, causet.mutual_past(ra, rb))
-    phi_x = full_specifications(space, dom, x)
-    phi_y = full_specifications(space, dom, y)
-    phi_p2 = set(full_specifications(space, dom, causet.truncated_joint_past(ra, rb)))
+    phi_x, phi_y, phi_p1, phi_p2 = _gap_screeners(model, _plan(model.space, model.dom, Caps()), ra, rb)
     composed = {cell_c & cell_x & cell_y for cell_c in phi_p1 for cell_x in phi_x for cell_y in phi_y} - {0}
     return GapReport(
         region_a=ra,

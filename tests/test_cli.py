@@ -137,6 +137,59 @@ def test_bad_weights_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"causet": 5}, "causet must be an object"),
+    ({"elements": ["a", "b"], "relations": [1]}, "relations must be a list of [label, label] pairs"),
+    ({"elements": ["a"], "relations": 3}, "relations must be a list of [label, label] pairs"),
+    ({"elements": [["a"]]}, "elements must be a list of strings"),
+    ({"elements": ["a"], "dom": {'["0"]': 5}}, "a region must be a string or a list of labels"),
+    ({"elements": "ab"}, "elements must be a list of strings"),
+    ({"elements": [1, 2]}, "elements must be a list of strings"),
+    (None, "--partition must be a JSON list of events"),
+], ids=["causet-int", "relation-int", "relations-int", "element-list", "dom-region-int", "elements-str",
+        "elements-int", "partition-int"])
+def test_malformed_input_is_a_usage_error(tmp_path, data_dir, capsys, data, message):
+    # exit 1 means violations were reported, so a malformed input exits 2
+    from causetlab.cli import main
+
+    if data is None:
+        command = "ccs"
+        argv = ["ccs", "--model", str(data_dir / "anti2_perf.json"), "--a", '{"x": 1}', "--b", '{"y": 1}',
+                "--partition", "5"]
+    else:
+        command = "check"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        argv = ["check", "--model", str(path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"causetlab {command}: {message}")
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda state: {k: v for k, v in state.items() if k != "last_completed_index"}, "last_completed_index"),
+    (lambda state: [state], "must hold a JSON object"),
+    (lambda state: {**state, "last_completed_index": "x"}, "last_completed_index must be an integer"),
+    (lambda state: {**state, "last_completed_index": True}, "last_completed_index must be an integer"),
+    (lambda state: {**state, "models": "x"}, "models must be an integer"),
+    (lambda state: {**state, "truth_table": ["1111"]}, "truth_table must map names to integers"),
+    (lambda state: {**state, "tags_histogram": {"tag": 1.5}}, "tags_histogram must map names to integers"),
+], ids=["no-index", "list", "index-str", "index-bool", "models-str", "truth-table-list", "tags-float"])
+def test_malformed_checkpoint_is_a_usage_error(tmp_path, capsys, corrupt, message):
+    from causetlab.cli import main
+
+    path = tmp_path / "hunt.ckpt"
+    argv = ["hunt", "--max-elements", "2", "--checkpoint", str(path)]
+    assert main(argv) == 0
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    capsys.readouterr()
+    assert main(argv + ["--resume"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("causetlab hunt: checkpoint") and message in err
+
+
 @pytest.mark.parametrize("alphabet", [2.5, True, "2"])
 def test_non_integer_alphabet_exits_2(tmp_path, alphabet):
     path = tmp_path / "alphabet.json"
@@ -368,6 +421,17 @@ def test_dom_axioms_refuses_families_below_two(data_dir, capsys, size):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "causetlab dom-axioms: family_size must be at least 2\n"
+
+
+def test_dom_axioms_refuses_an_empty_sample(data_dir, capsys):
+    # --events 0 asks for a sample, not the exhaustive sweep, and an empty
+    # sample would pass every axiom vacuously
+    from causetlab.cli import main
+
+    assert main(["dom-axioms", "--model", str(data_dir / "diamond_uniform.json"), "--events", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "causetlab dom-axioms: cannot sample 0 distinct events: --events must be at least 1\n"
 
 
 def test_dom_axioms_command(data_dir):

@@ -18,6 +18,7 @@ from causetlab import (
     MeasureTable,
     Model,
     NotSpacelikeError,
+    PRINCIPLES,
     check_principle,
     first_witnesses,
     full_specifications,
@@ -316,22 +317,81 @@ def _six_measures(space):
 
 
 def test_one_sweep_plan_serves_every_measure_of_a_space(monkeypatch):
+    # the six measures share one plan, which builds each region's decision
+    # events once, for every pair and both families that read them
     import causetlab.principles as principles
 
     calls = []
-    real = principles._decision_events
+    real = principles.capped_gamma_cells
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(space, region, take):
+        calls.append(region)
+        return real(space, region, take)
 
-    monkeypatch.setattr(principles, "_decision_events", counted)
+    monkeypatch.setattr(principles, "capped_gamma_cells", counted)
     space = HistorySpace(_V4, 2)
     for measure in _six_measures(space):
         implication_matrix(Model.build(space, measure))
-    nonempty = sum(1 for ra, rb in _V4.spacelike_pairs(max_size=3) if ra and rb)
-    # both sides of every nonempty pair, once for p1 and once for p2
-    assert len(calls) == 2 * 2 * nonempty
+    sides = {r for ra, rb in _V4.spacelike_pairs(max_size=3) if ra and rb for r in (ra, rb)}
+    assert sorted(calls) == sorted(sides)
+
+
+def test_an_explicit_map_scans_its_universe_once_per_region(anti2_space, perf, monkeypatch):
+    # the decision events, the counts and the witnesses' Gamma of a region
+    # all come from one scan of the map's events
+    import causetlab.principles as principles
+
+    mapping = {e: anti2_space.canonical_dom(e) for e in range(anti2_space.omega + 1)}
+    model = Model.build(anti2_space, perf, DomMap.explicit(mapping))
+    calls = []
+    real = principles.gamma_capped
+
+    def counted(space, dom, region, limit):
+        calls.append(region)
+        return real(space, dom, region, limit)
+
+    monkeypatch.setattr(principles, "gamma_capped", counted)
+    matrix = implication_matrix(model)
+    assert matrix.bits == "0011" and all(v.witnesses or v.satisfied for v in matrix.verdicts.values())
+    sides = {r for pair in anti2_space.causet.spacelike_pairs() for r in pair}
+    assert sorted(calls) == sorted(sides)
+
+
+def test_phi_cells_are_built_only_where_a_pair_is_decided_or_a_witness_listed(monkeypatch):
+    # counts are closed form on canonical doms: a skipped pair, or a pair
+    # with an empty side, builds no Gamma and no Phi. Here (empty, {a, b, c})
+    # is the only pair with the past {x, y, z}.
+    import causetlab.principles as principles
+
+    causet = validate_causet(["x", "y", "z", "a", "b", "c"], [("x", "a"), ("y", "b"), ("z", "c")])
+    space = HistorySpace(causet, 2)
+    models = [Model.build(space, m) for m in (MeasureTable.uniform(space), _copy_measure(space, 0b011000))]
+    built, decided = [], []
+    real_phi, real_screened = HistorySpace.phi_cells, principles._screened
+
+    def phi(self, region):
+        built.append(region)
+        return real_phi(self, region)
+
+    def screened(measure, ra, rb, *rest):
+        decided.append((ra, rb))
+        return real_screened(measure, ra, rb, *rest)
+
+    monkeypatch.setattr(HistorySpace, "phi_cells", phi)
+    monkeypatch.setattr(principles, "_screened", screened)
+    caps = Caps(region_size=1)
+    verdicts = [check_principle(m, p, caps) for m in models for p in PRINCIPLES]
+    verdicts += [v for m in models for v in implication_matrix(m, caps).verdicts.values()]
+    listed = {r for v in verdicts for w in v.witnesses for r in (w.region_a, w.region_b)}
+    assert listed and decided
+
+    def regions(pairs):
+        pasts = causet.mutual_past, causet.truncated_joint_past
+        return {r for ra, rb in pairs for r in (ra, rb, *(past(ra, rb) for past in pasts))}
+
+    allowed = regions(decided) | listed
+    assert built and set(built) <= allowed
+    assert causet.region("x,y,z") not in allowed and causet.region("a,b") not in allowed
 
 
 def test_a_pair_whose_two_pasts_coincide_is_evaluated_once(monkeypatch):
