@@ -9,9 +9,9 @@ dom(A), the least domain of decidability, is the smallest region whose
 restriction of a history decides membership in A. For product spaces the
 canonical construction is the dependency set: element s belongs to dom(A)
 iff two histories differing only at s can disagree about A. User-supplied
-dom maps are accepted and validated against the dom axioms rather than
-trusted, which is what lets the rest of the laboratory explore non-product
-models.
+dom maps, which let the laboratory explore non-product models, are
+validated against the dom axioms rather than trusted, and indexed by dom
+once (`DomMap`): Gamma, Phi and the axiom-4 atoms are read from the index.
 
 Gamma(R) is the collection of events decidable inside R (dom(A) subseteq R;
 the subset is read non-strictly throughout, since the strict reading would
@@ -25,7 +25,8 @@ fixing a value at every element of R, with Phi(empty) = {Omega}.
 from __future__ import annotations
 
 import random
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .causet import Causet, Region, _bits, _popcount
@@ -97,8 +98,8 @@ class HistorySpace:
             raise ValueError(f"history key {key!r} must have one digit per element")
         h = 0
         for i, ch in enumerate(key):
-            v = _DIGITS.index(ch)
-            if v >= self.q:
+            v = _DIGITS.find(ch)
+            if v not in range(self.q):
                 raise ValueError(f"history key {key!r} uses a value outside the alphabet")
             h += v * self.q ** i
         return h
@@ -179,12 +180,24 @@ class HistorySpace:
 
 
 class DomMap:
-    """Least-domain assignment: canonical (computed) or user-supplied (validated)."""
+    """Least-domain assignment: canonical (computed) or user-supplied (validated).
+
+    An explicit map is indexed once, when made, and never mutated after: its
+    events sorted into the universe order every caller sees and grouped by
+    dom, so Gamma(R) (`within`) reads whole groups and asks no event its
+    dom. `canonical()` is one shared instance, so a map is its own cache key.
+    """
 
     def __init__(self, mapping: dict[Event, Region] | None = None):
         self._mapping = mapping
+        if mapping is not None:
+            self._universe = tuple(sorted(mapping))
+            self._groups: dict[Region, list[Event]] = {}
+            for e in self._universe:
+                self._groups.setdefault(mapping[e], []).append(e)
 
     @classmethod
+    @cache
     def canonical(cls) -> "DomMap":
         return cls(None)
 
@@ -215,7 +228,12 @@ class DomMap:
                     f"{MAX_ENUMERABLE_HISTORIES} histories; pass an explicit universe"
                 )
             return iter(range(space.omega + 1))
-        return iter(sorted(self._mapping))
+        return iter(self._universe)
+
+    def within(self, region: Region) -> list[Event]:
+        """Gamma(region) of an explicit map: its events whose dom lies inside
+        the region, in universe order."""
+        return sorted(chain.from_iterable(g for d, g in self._groups.items() if d & ~region == 0))
 
 
 def gamma(space: HistorySpace, dom: DomMap, region: Region, limit: int | None = None) -> list[Event]:
@@ -245,10 +263,8 @@ def gamma_capped(
         for cell in capped_gamma_cells(space, region, take):
             events += [e | cell for e in events]
         return events[:take], truncated
-    matching = [e for e in dom.events(space) if dom.dom(space, e) & ~region == 0]
-    if limit is not None and len(matching) > limit:
-        return matching[:limit], True
-    return matching, False
+    events = dom.within(region)
+    return events[:limit], limit is not None and len(events) > limit
 
 
 def capped_gamma_size(space: HistorySpace, region: Region, cap: int) -> tuple[int, bool]:
@@ -271,24 +287,16 @@ def full_specifications(space: HistorySpace, dom: DomMap, region: Region) -> lis
     event decidable in the region (F inside X or inside X^c for each such X).
 
     Canonical doms: the cylinders fixing a value at each region element.
-    Explicit doms: literal filter over the map's events.
+    Explicit doms: the events of Gamma(region) that are atoms of the algebra
+    Gamma(region) generates, in universe order. An event that splits no
+    event of Gamma(region) lies inside one atom, and as a generator it
+    contains that atom, so the two readings agree.
     """
     if dom.is_canonical:
         return list(space.phi_cells(region))
-    candidates = [
-        e for e in dom.events(space)
-        if e and dom.dom(space, e) & ~region == 0
-    ]
-    out = []
-    for f in candidates:
-        ok = True
-        for x in candidates:
-            if f & ~x and f & x:  # f splits x
-                ok = False
-                break
-        if ok:
-            out.append(f)
-    return out
+    events = dom.within(region)
+    atoms = set(_algebra_atoms(space, events))
+    return [f for f in events if f in atoms]
 
 
 def is_partition(space: HistorySpace, cells: Sequence[Event]) -> bool:
@@ -613,8 +621,6 @@ def _axiom4(
     # Gamma(X) | Gamma(Y); equivalently Z never splits an atom of that algebra.
     if dom.is_canonical:
         return _axiom4_canonical(space, universe, doms)
-    # the map's (event, dom) list, and each split's atoms, built once
-    mapped = [(e, dom.dom(space, e)) for e in dom.events(space)]
     atoms: dict[tuple[Region, Region], list[Event]] = {}
     checked = 0
     for z in universe:
@@ -629,7 +635,7 @@ def _axiom4(
             y = d ^ x
             checked += 1
             if (x, y) not in atoms:
-                atoms[x, y] = _algebra_atoms(space, mapped, x, y)
+                atoms[x, y] = _algebra_atoms(space, dom.within(x) + dom.within(y))
             for atom in atoms[x, y]:
                 if atom & z and atom & ~z:
                     return _axiom4_failure(space, checked, z, x, y, atom)
@@ -665,12 +671,9 @@ def _axiom4_failure(
     })
 
 
-def _algebra_atoms(
-    space: HistorySpace, mapped: Sequence[tuple[Event, Region]], x: Region, y: Region
-) -> list[Event]:
-    """The atoms of the algebra generated by Gamma(x) | Gamma(y), given the
-    map's (event, dom) list."""
-    generators = [e for e, d in mapped if d & ~x == 0] + [e for e, d in mapped if d & ~y == 0]
+def _algebra_atoms(space: HistorySpace, generators: Iterable[Event]) -> list[Event]:
+    """The atoms of the algebra the generators generate, in the order that
+    splitting Omega by each generator in turn leaves them."""
     atoms = [space.omega]
     for g in generators:
         nxt = []

@@ -107,8 +107,13 @@ def dom_from_data(space: HistorySpace, spec: Any) -> DomMap:
     if not isinstance(spec, dict):
         raise ModelFileError(f"dom must be \"canonical\" or an object, got {spec!r}")
     mapping: dict[Event, Region] = {}
+    keys: dict[Event, str] = {}
     for key, region in spec.items():
-        mapping[parse_event(space, key)] = parse_region(space.causet, region)
+        event = parse_event(space, key)
+        if event in keys:
+            raise ModelFileError(f"dom map names one event twice: {keys[event]!r} and {key!r}")
+        keys[event] = key
+        mapping[event] = parse_region(space.causet, region)
     return DomMap.explicit(mapping)
 
 

@@ -23,13 +23,12 @@ it and shared by every pair, family and measure, it holds the events a
 decision ranges over, the screeners Phi(region) and the capped Gamma that
 witnesses are listed over; canonical doms count in closed form, so a pair
 no decision reads builds nothing. A plan depends only on the history
-space, the dom and the caps, so plans of canonical doms are cached per
-space and caps (weakly: a plan goes with its space) and every measure on a
-space shares one; explicit dom maps are planned afresh on every call. No
-measure's outcome reaches a plan. The evaluation (`_decider`) only does
-mass work: canonical doms are decided on pairs of Phi cells, explicit doms
-event by event, both through the screening kernel
-`measure._screen_failures`. A verdict is summed in one pass over its
+space, the dom map and the caps, so plans are cached per space, map and
+caps (weakly: a plan goes with its space) and every measure on a space
+shares one. No measure's outcome reaches a plan. The evaluation
+(`_decider`) only does mass work: canonical doms are decided on pairs of
+Phi cells, explicit doms event by event, both through the screening
+kernel `measure._screen_failures`. A verdict is summed in one pass over its
 family's pair plans (`_assemble`), keeps only the failing pairs and lists
 its witnesses, every failing event triple of the sweep, lazily from them.
 Replication and the gap check read the same plan: steps 1-2 are decided on
@@ -410,19 +409,16 @@ class _SweepPlan:
         return got
 
 
-# Plans of canonical doms, per history space and caps; an entry goes with its
-# space. Explicit dom maps are plain objects whose contents may differ from
-# call to call, so their plans are built afresh and never cached.
-_PLANS: WeakKeyDictionary[HistorySpace, dict[Caps, _SweepPlan]] = WeakKeyDictionary()
+# Plans per history space, keyed by dom map and caps; an entry goes with its
+# space. A dom map is never mutated once made, so it is its own key.
+_PLANS: WeakKeyDictionary[HistorySpace, dict[tuple[DomMap, Caps], _SweepPlan]] = WeakKeyDictionary()
 
 
 def _plan(space: HistorySpace, dom: DomMap, caps: Caps) -> _SweepPlan:
-    if not dom.is_canonical:
-        return _SweepPlan(space.causet, dom, caps)
     plans = _PLANS.setdefault(space, {})
-    if caps not in plans:
-        plans[caps] = _SweepPlan(space.causet, dom, caps)
-    return plans[caps]
+    if (dom, caps) not in plans:
+        plans[dom, caps] = _SweepPlan(space.causet, dom, caps)
+    return plans[dom, caps]
 
 
 def _screened(

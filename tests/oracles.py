@@ -68,7 +68,12 @@ def brute_gamma(space, region):
 def brute_phi(space, region):
     """Literal full-specification filter: nonempty, decidable in the region,
     and inside or outside every event decidable in the region."""
-    decidable = brute_gamma(space, region)
+    return brute_phi_over(brute_gamma(space, region))
+
+
+def brute_phi_over(decidable):
+    """The literal full-specification filter over a given Gamma: its nonempty
+    events that lie inside or outside every event of it, in its order."""
     out = []
     for f in decidable:
         if f == 0:

@@ -167,6 +167,39 @@ def test_malformed_input_is_a_usage_error(tmp_path, data_dir, capsys, data, mess
     assert err.startswith(f"causetlab {command}: {message}")
 
 
+@pytest.mark.parametrize("dom", [
+    {'["00"]': ["x", "y"], '{"x": 0, "y": 0}': ["x"]},
+    {'["00", "11"]': ["x", "y"], '["11", "00"]': ["x"]},
+], ids=["keys-and-cylinder", "reordered-keys"])
+def test_a_dom_map_naming_one_event_twice_is_refused(tmp_path, capsys, dom):
+    # JSON keeps both keys; read into one event, the last would win unseen
+    from causetlab.cli import main
+
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"elements": ["x", "y"], "dom": dom}))
+    assert main(["check", "--force", "--model", str(path)]) == 2
+    out, err = capsys.readouterr()
+    first, second = dom
+    assert out == ""
+    assert err.startswith(f"causetlab check: dom map names one event twice: {first!r} and {second!r}")
+
+
+@pytest.mark.parametrize("data, argv, key", [
+    ({"elements": ["x", "y"], "measure": {"weights": {"0z": 1}}}, ["check"], "0z"),
+    ({"elements": ["x", "y"], "dom": {'["0Z"]': ["x"]}}, ["check"], "0Z"),
+    ({"elements": ["x", "y"]}, ["ccs", "--a", '["0x"]', "--b", '{"y": 1}'], "0x"),
+], ids=["weights-key", "dom-key", "ccs-event"])
+def test_a_history_key_with_a_foreign_character_is_named(tmp_path, capsys, data, argv, key):
+    from causetlab.cli import main
+
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    assert main([*argv, "--model", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"causetlab {argv[0]}: history key {key!r} uses a value outside the alphabet")
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda state: {k: v for k, v in state.items() if k != "last_completed_index"}, "last_completed_index"),
     (lambda state: [state], "must hold a JSON object"),

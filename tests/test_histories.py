@@ -23,7 +23,15 @@ from causetlab import (
 from causetlab.causet import _bits, _popcount
 from causetlab.histories import gamma_capped
 
-from oracles import brute_axiom2, brute_axiom4, brute_decides, brute_dom, brute_gamma, brute_phi
+from oracles import (
+    brute_axiom2,
+    brute_axiom4,
+    brute_decides,
+    brute_dom,
+    brute_gamma,
+    brute_phi,
+    brute_phi_over,
+)
 
 CANON = DomMap.canonical()
 
@@ -174,6 +182,39 @@ def test_phi_count_ternary(anti2):
         cells = full_specifications(space, CANON, region)
         assert len(cells) == 3 ** _popcount(region)
         assert is_partition(space, cells)
+
+
+def test_explicit_phi_and_capped_gamma_match_the_literal_filters():
+    # seeded partial maps with arbitrary doms, not checked against the axioms:
+    # Gamma is the map's events whose dom lies in the region, in ascending
+    # order, and Phi the literal filter over it. Half the maps draw their
+    # events as unions of a few blocks, so that many settle one another.
+    import random
+
+    rng = random.Random("partial maps")
+    pairs = nonempty = 0
+    for _ in range(300):
+        n, q = rng.choice([(2, 2), (2, 3), (3, 2), (3, 3)])
+        space = HistorySpace(validate_causet([f"e{i}" for i in range(n)], []), q)
+        blocks = [0] * rng.randint(2, 5)
+        for h in range(space.size):
+            blocks[rng.randrange(len(blocks))] |= 1 << h
+        if rng.random() < 0.5:
+            draw = lambda: rng.getrandbits(space.size)
+        else:
+            draw = lambda: sum(b for b in blocks if rng.random() < 0.5)
+        mapping = {draw(): rng.getrandbits(n) for _ in range(rng.randint(1, 40))}
+        dom = DomMap.explicit(mapping)
+        for region in range(1 << n):
+            literal = [e for e in sorted(mapping) if mapping[e] & ~region == 0]
+            phi = full_specifications(space, dom, region)
+            assert phi == brute_phi_over(literal)
+            for limit in (None, 0, 1, len(literal) // 2 + 1):
+                take = len(literal) if limit is None else limit
+                assert gamma_capped(space, dom, region, limit) == (literal[:take], take < len(literal))
+            pairs += 1
+            nonempty += bool(phi)
+    assert pairs > 1000 and nonempty > pairs // 4
 
 
 @pytest.mark.parametrize("q, max_n", [(2, 4), (3, 3), (4, 2)])
@@ -421,9 +462,9 @@ def test_axiom4_builds_each_splits_atoms_once(monkeypatch):
     calls = []
     real = histories._algebra_atoms
 
-    def counted(space, mapped, x, y):
-        calls.append((x, y))
-        return real(space, mapped, x, y)
+    def counted(space, generators):
+        calls.append(tuple(generators))
+        return real(space, generators)
 
     monkeypatch.setattr(histories, "_algebra_atoms", counted)
     space = HistorySpace(validate_causet(["p", "a", "b"], [("p", "a"), ("p", "b")]), 2)

@@ -357,6 +357,32 @@ def test_an_explicit_map_scans_its_universe_once_per_region(anti2_space, perf, m
     assert sorted(calls) == sorted(sides)
 
 
+def test_a_replication_sweep_on_an_explicit_map_asks_no_dom_and_plans_once(w_causet, monkeypatch):
+    # the map's index answers every Gamma and Phi, and one plan serves
+    # replication and the gap check on every pair
+    import causetlab.principles as principles
+
+    space = HistorySpace(w_causet, 2)
+    dom = DomMap.explicit({e: space.canonical_dom(e) for e in range(space.omega + 1)})
+    model = Model.build(space, MeasureTable.random(space, seed=3), dom)
+    built = []
+    real = principles._SweepPlan
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    def no_dom(*args):
+        raise AssertionError("an event's dom was asked for")
+
+    monkeypatch.setattr(principles, "_SweepPlan", counted)
+    monkeypatch.setattr(DomMap, "dom", no_dom)
+    pairs = list(w_causet.spacelike_pairs())
+    reports = [(replicate_so1_to_so2(model, ra, rb), gap_closure_check(model, ra, rb)) for ra, rb in pairs]
+    assert len(built) == 1
+    assert all(gap.equal for _, gap in reports) and any(rep.passed for rep, _ in reports)
+
+
 def test_phi_cells_are_built_only_where_a_pair_is_decided_or_a_witness_listed(monkeypatch):
     # counts are closed form on canonical doms: a skipped pair, or a pair
     # with an empty side, builds no Gamma and no Phi. Here (empty, {a, b, c})
@@ -444,17 +470,21 @@ def test_a_sweep_plan_dies_with_its_space():
 
     space = HistorySpace(_V4, 2)
     implication_matrix(Model.build(space, MeasureTable.uniform(space)))
-    plan = weakref.ref(principles._PLANS[space][Caps()])
+    plan = weakref.ref(principles._PLANS[space][DomMap.canonical(), Caps()])
     del space
     gc.collect()
     assert plan() is None
 
 
-def test_explicit_dom_plans_are_never_cached(anti2_space, perf, monkeypatch):
+def test_an_explicit_plan_is_shared_across_calls_and_dies_with_its_space(anti2, monkeypatch):
+    import gc
+    import weakref
+
     import causetlab.principles as principles
 
-    mapping = {e: anti2_space.canonical_dom(e) for e in range(anti2_space.omega + 1)}
-    model = Model.build(anti2_space, perf, DomMap.explicit(mapping))
+    space = HistorySpace(anti2, 2)
+    dom = DomMap.explicit({e: space.canonical_dom(e) for e in range(space.omega + 1)})
+    model = Model.build(space, MeasureTable.perfectly_correlated(space), dom)
     built = []
     real = principles._SweepPlan
 
@@ -463,9 +493,12 @@ def test_explicit_dom_plans_are_never_cached(anti2_space, perf, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(principles, "_SweepPlan", counted)
-    assert implication_matrix(model).bits == implication_matrix(model).bits
-    assert len(built) == 2
-    assert anti2_space not in principles._PLANS
+    assert implication_matrix(model).bits == implication_matrix(model).bits == "0011"
+    assert len(built) == 1
+    plan = weakref.ref(principles._PLANS[space][dom, Caps()])
+    del space, model
+    gc.collect()
+    assert plan() is None
 
 
 def test_diamond_uniform_matrix_all_satisfied(diamond):
