@@ -151,6 +151,13 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_validate(args) -> int:
     data = load_json_file(args.model)
     causet = causet_from_data(data)
+    # a model's alphabet, dom and measure are parsed as `check` parses them;
+    # the dom axioms are left to `dom-axioms`, and a bare causet builds no
+    # history space
+    if data.keys() & {"alphabet", "dom", "measure"}:
+        space = space_from_data(data)
+        dom_from_data(space, data.get("dom"))
+        measure_from_data(space, data.get("measure"))
     _emit({"ok": True, "causet": causet_to_data(causet)}, args.pretty)
     return 0
 

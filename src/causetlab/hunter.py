@@ -54,6 +54,13 @@ Determinism: work is partitioned by canonical causet index, per-causet
 measure seeds are derived from (seed, index), and results are merged in
 index order, so the report is a pure function of the config, whatever the
 worker count.
+
+Workers: a hunt with N workers runs in N processes, the hunting one among
+them. It forks the other N - 1 once the task list is built, so they inherit
+the enumeration and the tasks, and sends them only task positions; each
+answers with its pickled result. The hunting process runs a task itself
+whenever no answer is waiting (`_forked_map`). Where `os.fork` is missing
+the hunt runs serially.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ import contextlib
 import json
 import os
 from functools import cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .causet import Causet, _bits
 from .errors import LimitError
@@ -317,7 +324,8 @@ class _SearchFields(NamedTuple):
 
 class SearchConfig(_SearchFields):
     """A hunt's parameters, checked whenever one is built: by a caller, by
-    `_replace`, or by unpickling in a pool worker."""
+    `_replace`, or by unpickling. `workers` is the number of processes,
+    the hunting one included; it changes only the scheduling."""
 
     __slots__ = ()
 
@@ -552,11 +560,13 @@ def hunt(
     Emits every finding, the aggregate truth table of observed principle
     combinations, and (necessarily empty, since violations abort) the list of
     internal-consistency failures. Deterministic in the seed regardless of
-    the worker count; the pool never exceeds the usable cores or the pending
-    causets. A checkpoint file records the last completed causet index and
-    the summary totals; resume=True skips causets at or below it and merges
-    the recorded totals, so the summary equals that of an uninterrupted run
-    (previously emitted findings are not re-emitted).
+    the worker count. config.workers processes share the causets, this one
+    and forked children, but never more than the usable cores or the
+    pending causets, and no child outlives the call. A checkpoint file
+    records the last completed causet index and the summary totals;
+    resume=True skips causets at or below it and merges the recorded
+    totals, so the summary equals that of an uninterrupted run (previously
+    emitted findings are not re-emitted).
     """
     if config.max_elements > HARD_ENUMERATION_LIMIT:
         raise LimitError(f"max_elements exceeds the hard limit {HARD_ENUMERATION_LIMIT}")
@@ -574,12 +584,10 @@ def hunt(
     pending = [t for t in tasks if t[0] > start_after]
     findings: list[dict] = []
 
-    processes = min(config.workers, _usable_cores(), len(pending))
+    processes = min(config.workers, _usable_cores(), len(pending)) if hasattr(os, "fork") else 1
     if processes > 1:
-        import multiprocessing  # only here: importing it costs a serial run ~10 ms
-
-        with multiprocessing.Pool(processes) as pool:
-            results: Iterator[dict] = pool.imap(_hunt_causet, pending, chunksize=1)
+        # closed here, not when collected, so no child outlives a failed merge
+        with contextlib.closing(_forked_map(_hunt_causet, pending, processes - 1)) as results:
             _merge(results, findings, totals, checkpoint_path, config)
     else:
         _merge(map(_hunt_causet, pending), findings, totals, checkpoint_path, config)
@@ -594,6 +602,120 @@ def hunt(
         findings_total=totals.findings,
         tags_histogram=totals.tags_histogram,
     )
+
+
+def _forked_map(fn: Callable, items: list, children: int) -> Iterator:
+    """fn over items, yielded in order, computed by this process and by
+    `children` forked copies of it, which inherit fn and items.
+
+    A child reads positions, 4 bytes each, from its own task pipe, and
+    answers each with (position, succeeded, result or exception), pickled
+    and length-prefixed, on its own result pipe. Each child is kept one
+    position ahead of the one it is running; whenever no answer is waiting,
+    this process runs the next position itself. A task's exception is raised
+    here when its position comes up. Children leave through `os._exit` at
+    the end of their task pipe, and none outlives the generator: an
+    abnormal exit kills them, and every exit reaps them.
+    """
+    import pickle
+    import select
+
+    workers: dict[int, tuple[int, int, list[int]]] = {}  # result fd -> pid, task fd, queue
+    answers: dict[int, tuple[bool, object]] = {}
+    handed = 0  # positions handed out, to a child or to this process
+    finished = False
+
+    def hand(fd: int) -> None:
+        nonlocal handed
+        os.write(workers[fd][1], handed.to_bytes(4, "little"))
+        workers[fd][2].append(handed)
+        handed += 1
+
+    try:
+        for _ in range(children):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                for fd in (task_r, task_w, result_r, result_w):
+                    os.close(fd)
+                raise
+            if pid == 0:
+                try:
+                    for fd in (task_w, result_r, *workers, *(w[1] for w in workers.values())):
+                        os.close(fd)
+                    while position := _read_exact(task_r, 4):
+                        pos = int.from_bytes(position, "little")
+                        try:
+                            answer = (pos, True, fn(items[pos]))
+                        except Exception as exc:
+                            answer = (pos, False, exc)
+                        data = pickle.dumps(answer, pickle.HIGHEST_PROTOCOL)
+                        _write_all(result_w, len(data).to_bytes(4, "little") + data)
+                finally:
+                    os._exit(0)
+            os.close(task_r)
+            os.close(result_w)
+            workers[result_r] = (pid, task_w, [])
+        for fd in workers:
+            while len(workers[fd][2]) < 2 and handed < len(items):
+                hand(fd)
+        for pos in range(len(items)):
+            while pos not in answers:
+                busy = [fd for fd, (_, _, queue) in workers.items() if queue]
+                timeout = 0 if handed < len(items) else None
+                ready = select.select(busy, [], [], timeout)[0] if busy else []
+                for fd in ready:
+                    pid, _, queue = workers[fd]
+                    size = _read_exact(fd, 4)
+                    if not size:
+                        raise RuntimeError(f"hunt worker {pid} exited with tasks {queue} unfinished")
+                    got, ok, value = pickle.loads(_read_exact(fd, int.from_bytes(size, "little")))
+                    queue.remove(got)
+                    answers[got] = ok, value
+                    if handed < len(items):
+                        hand(fd)
+                if not ready and handed < len(items):
+                    try:
+                        answers[handed] = True, fn(items[handed])
+                    except Exception as exc:
+                        answers[handed] = False, exc
+                    handed += 1
+            ok, value = answers.pop(pos)
+            if not ok:
+                raise value
+            yield value
+        finished = True
+    finally:
+        if not finished:
+            import signal
+
+            for pid, _, _ in workers.values():
+                os.kill(pid, signal.SIGKILL)
+        for fd, (_, task_w, _) in workers.items():
+            os.close(fd)
+            os.close(task_w)
+        for pid, _, _ in workers.values():
+            os.waitpid(pid, 0)
+
+
+def _read_exact(fd: int, size: int) -> bytes:
+    """size bytes from a pipe, or b"" if it ends first."""
+    chunks = []
+    while size:
+        chunk = os.read(fd, size)
+        if not chunk:
+            return b""
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
 def _merge(

@@ -115,6 +115,42 @@ def test_validate_good_model_exits_0(data_dir):
     assert ["p", "t"] in data["causet"]["relations"]
 
 
+@pytest.mark.parametrize("data, key", [
+    ({"elements": ["x", "y"], "dom": {'["0Z"]': ["x"]}, "measure": {"weights": {"0q": 1}}}, "0Z"),
+    ({"causet": {"elements": ["x", "y"]}, "measure": {"weights": {"0q": 1}}}, "0q"),
+    ({"elements": ["x", "y"], "alphabet": "2"}, None),
+], ids=["dom-key", "weights-key", "alphabet"])
+def test_validate_reads_the_dom_and_measure_of_a_model(tmp_path, capsys, data, key):
+    # `check` on these files exits 2; `validate` must not call them ok
+    from causetlab.cli import main
+
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--model", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    if key:
+        assert err.startswith(f"causetlab validate: history key {key!r} uses a value outside the alphabet")
+    assert main(["check", "--model", str(path)]) == 2
+
+
+def test_validate_builds_no_space_for_a_bare_causet(tmp_path, monkeypatch, capsys):
+    # 20 elements: a binary space of 2**20 histories is past the limits
+    from causetlab.cli import main
+    from causetlab.histories import HistorySpace
+
+    def no_space(*args, **kwargs):
+        raise AssertionError("validate built a history space for a bare causet")
+
+    monkeypatch.setattr(HistorySpace, "__init__", no_space)
+    elements = [f"e{i}" for i in range(20)]
+    for data in ({"elements": elements}, {"causet": {"elements": elements}}):
+        path = tmp_path / "causet.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", "--model", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["causet"]["elements"] == elements
+
+
 def test_missing_file_exits_2(tmp_path):
     proc = run_cli("validate", "--model", str(tmp_path / "nope.json"))
     assert proc.returncode == 2

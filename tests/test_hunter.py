@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import random
 
@@ -367,10 +366,11 @@ def test_workers_below_one_rejected(workers, capsys):
 def test_alphabet_below_two_rejected(alphabet, monkeypatch, capsys):
     from causetlab.cli import main
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool started for a config that should be refused")
+    def no_fork():
+        raise AssertionError("a worker was forked for a config that should be refused")
 
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     with pytest.raises(ValueError, match="alphabet_size must be at least 2"):
         SearchConfig(max_elements=2, alphabet_size=alphabet)
     argv = ["hunt", "--max-elements", "2", "--alphabet", str(alphabet), "--workers", "2"]
@@ -624,31 +624,102 @@ def test_checkpoint_bytes_and_resume_match_the_committed_fixture(tmp_path, monke
     assert resumed.findings == [f for f in full.findings if f["index"] > 3]
 
 
-class _RecordingPool:
-    """Stands in for multiprocessing.Pool: records its size, runs in-process."""
-
-    sizes: list[int] = []
-
-    def __init__(self, processes):
-        self.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def imap(self, fn, items, chunksize=1):
-        return map(fn, items)
-
-
-@pytest.mark.parametrize("cores, max_elements, expected", [(3, 3, 3), (8, 2, 3), (1, 3, None)])
+@pytest.mark.parametrize("cores, max_elements, expected",
+                         [(3, 3, 3), (8, 2, 3), (1, 3, None), (4, 4, 4)])
 def test_pool_never_exceeds_cores_or_pending_causets(monkeypatch, cores, max_elements, expected):
+    # the hunting process is one of the `expected` processes, so it forks
+    # one child fewer; a single process forks none. Four processes on the
+    # 24 causets up to n = 4 may outnumber the real cores, and must still
+    # print the serial bytes
     cfg = dict(max_elements=max_elements, measures_per_model=2, seed=11, include_perfect=True)
     serial = hunt(SearchConfig(**cfg))
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
     wide = hunt(SearchConfig(**cfg, workers=64))
-    assert _RecordingPool.sizes == ([] if expected is None else [expected])
+    assert len(forks) == (0 if expected is None else expected - 1)
     assert json.dumps(wide.to_json(), sort_keys=True) == json.dumps(serial.to_json(), sort_keys=True)
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_a_task_error_in_any_worker_exits_3_and_leaves_no_child(where, monkeypatch, capsys):
+    # every task run in a forked child, or in the hunting process, raises;
+    # the children always run the first positions, and the hunting process
+    # runs one whenever no child has answered
+    from causetlab.cli import main
+    from causetlab.errors import InternalConsistencyError
+
+    parent, real = os.getpid(), hunter._hunt_causet
+
+    def broken(task):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise InternalConsistencyError(f"planted at causet {task[0]}")
+        return real(task)
+
+    monkeypatch.setattr(hunter, "_hunt_causet", broken)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert main(["hunt", "--max-elements", "3", "--include-perfect", "--workers", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("causetlab hunt: internal consistency failure: planted at causet ")
+    assert _no_child_left()
+
+
+def test_an_interrupt_in_the_hunting_process_leaves_no_child(monkeypatch):
+    parent, real = os.getpid(), hunter._hunt_causet
+
+    def interrupted(task):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return real(task)
+
+    monkeypatch.setattr(hunter, "_hunt_causet", interrupted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.raises(KeyboardInterrupt):
+        hunt(SearchConfig(max_elements=3, include_perfect=True, workers=2))
+    assert _no_child_left()
+
+
+def test_a_resumed_two_worker_hunt_prints_the_serial_summary(tmp_path, monkeypatch, capsys, data_dir):
+    # interrupted when causet 4 comes up, wherever it ran: the checkpoint is
+    # the serial one, and the resumed run ends with the serial summary
+    from causetlab.cli import main
+    from causetlab.errors import InternalConsistencyError
+
+    argv = ["hunt", "--max-elements", "3", "--measures", "2", "--seed", "6", "--include-perfect"]
+    assert main([*argv, "--workers", "1"]) == 1
+    serial = capsys.readouterr().out.splitlines()
+    path = tmp_path / "hunt.ckpt"
+    two = [*argv, "--workers", "2", "--checkpoint", str(path)]
+    real = hunter._hunt_causet
+
+    def dying(task):
+        if task[0] == 4:
+            raise InternalConsistencyError("interrupted")
+        return real(task)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with monkeypatch.context() as patch:
+        patch.setattr(hunter, "_hunt_causet", dying)
+        assert main(two) == 3
+    capsys.readouterr()
+    assert path.read_bytes() == (data_dir / "hunt_n3_seed6.checkpoint.json").read_bytes()
+    assert main([*two, "--resume"]) == 1
+    resumed = capsys.readouterr().out.splitlines()
+    assert resumed[-1] == serial[-1]
+    assert resumed[:-1] == [line for line in serial[:-1] if json.loads(line)["index"] > 3]
+    assert _no_child_left()

@@ -1,6 +1,6 @@
 """The runtime stays stdlib-only: every absolute import in the package names
 a standard-library module. Importing it, and running a serial hunt, load
-none of the modules it no longer needs."""
+none of the modules it no longer needs; nor does a hunt with two workers."""
 
 import ast
 import subprocess
@@ -9,9 +9,10 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).parent.parent / "src" / "causetlab"
 
-# modules no decision needs: `dataclasses` pulls in `inspect`,
-# `multiprocessing` serves only the pool of a hunt with several workers, and
-# `hashlib` only the digests of findings and checkpoints
+# modules no decision needs: `dataclasses` pulls in `inspect`, a hunt with
+# several workers forks its own (`hunter._forked_map`) and needs no
+# `multiprocessing`, and `hashlib` serves only the digests of findings and
+# checkpoints
 UNNEEDED = ("dataclasses", "hashlib", "inspect", "multiprocessing")
 
 
@@ -40,7 +41,8 @@ def test_no_module_imports_dataclasses():
 
 
 def test_import_and_a_serial_hunt_load_no_unneeded_module():
-    # -S as well as -I: no site-packages hook can load anything first
+    # -S as well as -I: no site-packages hook can load anything first; two
+    # usable cores are claimed so that the second hunt forks
     probe = "\n".join([
         "import sys",
         f"sys.path.insert(0, {str(PACKAGE.parent)!r})",
@@ -50,9 +52,13 @@ def test_import_and_a_serial_hunt_load_no_unneeded_module():
         "from causetlab.hunter import SearchConfig, hunt",
         "hunt(SearchConfig(max_elements=2))",
         "print(sorted(m for m in unneeded if m in sys.modules))",
+        "import os",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
+        "hunt(SearchConfig(max_elements=2, workers=2))",
+        "print(sorted(m for m in unneeded if m in sys.modules))",
     ])
     proc = subprocess.run(
         [sys.executable, "-I", "-S", "-c", probe], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]"]
+    assert proc.stdout.splitlines() == ["[]", "[]", "[]"]
