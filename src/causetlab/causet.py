@@ -45,11 +45,29 @@ Region = int
 _SWEEP_LIMIT = 16
 
 
-def _bits(mask: int) -> Iterator[int]:
+def _bits(mask: int) -> Iterable[int]:
+    """The indices of a non-negative mask's set bits, ascending.
+
+    A mask below 2^8, which covers every row, region, cell and antichain of
+    a causet with at most 8 elements, reads its tuple from a table built at
+    import; a wider mask, such as an event over many histories, is walked
+    one low bit at a time.
+    """
+    if mask < 256:
+        return _BYTE_BITS[mask]
+    return _wide_bits(mask)
+
+
+def _wide_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+_BYTE_BITS: tuple[tuple[int, ...], ...] = tuple(
+    tuple(i for i in range(8) if m >> i & 1) for m in range(256)
+)
 
 
 class Causet:

@@ -13,7 +13,11 @@ sweep. `replay_finding` re-runs the full implication matrix, an independent
 check of a finding's bits. SO1 and SO2 coincide on canonical doms when every
 nonempty pair is decided on all its cells (see README), and `first_witnesses`
 aborts on a disagreement there, so the per-model SO1/SO2 tags come only from
-sweeps that caps cut short.
+sweeps that caps cut short. The uniform measure is decided by theorem: it
+is a product measure, and every statement a sweep tests is about disjoint
+regions A, B and their past, which a product measure makes independent
+given any cell of the past. So every principle holds on it, under any
+caps; the hunter counts it as 1111 and builds no model or sweep for it.
 
 Canonical form: the lexicographically minimal relation matrix over all
 relabelings, compared in expanding-submatrix block order (the block at depth
@@ -31,13 +35,16 @@ then the rest, which all lie below u or all above it; those orders are
 exactly the ones that make u's block least, its row half first. u joins the
 last cell when it is a twin of that cell relative to the placed elements.
 At each depth the search keeps only the placements whose block is the least
-over all states, and merges equal states. Of twin candidates, which share
-their successors and predecessors, only one is placed: swapping them is an
-automorphism fixing the placed elements (twin pruning). A leaf's cells hold
-global twins, so one labeling per leaf, closed under twin swaps, gives every
-least labeling; the maps between the leaves' labelings and the twin
-transpositions generate the automorphism group, and the form keeps them,
-moved to its own positions (`_Canonical.automorphisms`).
+over all states, and merges equal states. A free element below no placed
+one has a block whose row half is 0, and the row half leads, so when a
+state has such elements only they are tried (the row-zero cut). Of twin
+candidates, which share their successors and predecessors, only one is
+placed: swapping them is an automorphism fixing the placed elements (twin
+pruning). A leaf's cells hold global twins, so one labeling per leaf,
+closed under twin swaps, gives every least labeling; the maps between the
+leaves' labelings and the twin transpositions generate the automorphism
+group, and the form keeps them, moved to its own positions
+(`_Canonical.automorphisms`).
 
 Enumeration extends each (n-1)-element representative by one new maximal
 element over every order ideal; every finite poset has a maximal element, so
@@ -160,19 +167,27 @@ def _least_labelings(lt: Sequence[int]) -> tuple[list[list[int]], list[int]]:
         if not longer:
             break
         grown = longer
-    # a state maps its cells, in order, to the mask of their elements
-    level = {(a,): a for a, _ in grown}
+    # a state maps its cells, in order, to the mask of their elements and
+    # the mask of the elements below some of them
+    level = {}
+    for a, _ in grown:
+        under = 0
+        for i in _bits(a):
+            under |= below[i]
+        level[a,] = a, under
     for _ in range(grown[0][0].bit_count(), n):
         # a free element's least block over a state's orders is one int,
         # row << n | col: each cell ends with its elements above u (ones in
         # the row half) or below u (ones in the col half), never both, since
-        # a cell is an antichain
+        # a cell is an antichain. The col half has fewer than n bits, so an
+        # element outside `under` (row 0) beats every other (row-zero cut)
         floor = -1
-        best: list[tuple[tuple[int, ...], int, int]] = []
-        for cells, placed in level.items():
+        best: list[tuple[tuple[int, ...], int, int, int]] = []
+        for cells, (placed, under) in level.items():
             sized = [(c, c.bit_count()) for c in cells]
             tried = 0
-            for u in _bits(full & ~placed):
+            free = full & ~placed
+            for u in _bits(free & ~under or free):
                 if tried >> twin[u] & 1:
                     continue
                 tried |= 1 << twin[u]
@@ -183,14 +198,14 @@ def _least_labelings(lt: Sequence[int]) -> tuple[list[list[int]], list[int]]:
                     col = col << size | (1 << (c & down).bit_count()) - 1
                 key = row << n | col
                 if key == floor:
-                    best.append((cells, placed, u))
+                    best.append((cells, placed, under, u))
                 elif key < floor or floor < 0:
-                    floor, best = key, [(cells, placed, u)]
+                    floor, best = key, [(cells, placed, under, u)]
         # placing u puts each cell's elements incomparable to u first, which
         # gives u that least block; x stands for the last cell, which u
         # joins when the two are twins relative to the placed elements
         level = {}
-        for cells, placed, u in best:
+        for cells, placed, under, u in best:
             up, down = lt[u], below[u]
             split = []
             for c in cells:
@@ -201,7 +216,7 @@ def _least_labelings(lt: Sequence[int]) -> tuple[list[list[int]], list[int]]:
                 split.append(1 << u)
             else:
                 split[-1] |= 1 << u
-            level[tuple(split)] = placed | 1 << u
+            level[tuple(split)] = placed | 1 << u, under | down
     return [[i for c in cells for i in _bits(c)] for cells in level], twin
 
 
@@ -439,8 +454,11 @@ def _hunt_causet(task: tuple[int, tuple[int, ...], SearchConfig]) -> dict:
         measures.append(MeasureTable.perfectly_correlated(space))
         kinds.append("perfect")
     findings = []
-    truth: dict[str, int] = {}
-    for kind, measure in zip(kinds, measures):
+    # the uniform measure, first, is a product measure, which satisfies
+    # every principle under any caps (see the module docstring): it is
+    # counted, not swept
+    truth = {"1111": 1}
+    for kind, measure in zip(kinds[1:], measures[1:]):
         model = Model.build(space, measure)
         # zero_mode lists zero-mass screeners but never changes a bit
         first = first_witnesses(model, config.caps)

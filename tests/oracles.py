@@ -91,9 +91,10 @@ def brute_axiom2(space, universe, dom_of, family_size):
 
     Events are grouped by dom_of, groups ascending. Each family of 2 to
     family_size distinct members of a group, in depth-first order (every
-    family before its extensions), needs an intersection whose dom lies in
-    the group's dom; the sweep stops at the first that does not. The
-    full-region group is counted, not evaluated: every dom lies in it.
+    family before its extensions), needs an intersection with a dom, one
+    that lies in the group's dom; the sweep stops at the first that has
+    none (dom_of returns None) or another. The full-region group is
+    counted, not evaluated: every dom lies in it.
     """
     labels = space.causet.labels
     groups = {}
@@ -115,6 +116,11 @@ def brute_axiom2(space, universe, dom_of, family_size):
             for e in family:
                 inter &= e
             got = dom_of(inter)
+            if got is None:
+                return {"axiom": 2, "passed": False, "checked": checked, "witness": {
+                    "family": [space.event_keys(e) for e in family],
+                    "reason": "intersection has no dom assigned",
+                }}
             if got & ~region:
                 return {"axiom": 2, "passed": False, "checked": checked, "witness": {
                     "family": [space.event_keys(e) for e in family],

@@ -109,6 +109,27 @@ def test_past_beyond_the_table_limit():
         next(chain.spacelike_pairs())
 
 
+def test_bits_lists_each_set_bit_ascending_below_and_above_the_table():
+    # masks below 2^8 read a table and wider ones walk their low bits; both
+    # must give the bit-by-bit definition, including the table's edge
+    import random
+
+    from causetlab.causet import _bits
+
+    def literal(mask):
+        return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+    for mask in range(1 << 12):
+        assert list(_bits(mask)) == literal(mask)
+    rng = random.Random("bits")
+    for _ in range(500):
+        dense = rng.getrandbits(rng.randint(1, 20))
+        assert list(_bits(dense)) == literal(dense)
+        # up to 2^20 bits wide: ascending, and summing to the mask
+        picked = {rng.randrange(1 << rng.randint(1, 20)) for _ in range(rng.randint(1, 12))}
+        assert list(_bits(sum(1 << i for i in picked))) == sorted(picked)
+
+
 def test_identity_lanes_cover_at_most_eight_elements():
     # lane columns are built on first use, for the low eight elements at
     # most; the elements above them are looped over, and 17 is refused

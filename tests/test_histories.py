@@ -422,6 +422,51 @@ def test_axiom2_on_a_spelled_out_map_matches_the_family_sweep_oracle(q, n):
     assert outcomes == {False, True}
 
 
+def test_axiom2_on_seeded_explicit_maps_matches_the_family_sweep_oracle():
+    # each group's members are unions of the cells of its region, and their
+    # intersections mostly get their canonical doms; some get none, and some
+    # one element more than their group's region, so groups pass and fail
+    # in both ways, and the report must match the oracle's whole
+    import random
+    from itertools import combinations
+
+    rng = random.Random("axiom 2 maps")
+    outcomes = set()
+    for _ in range(300):
+        n, q = rng.choice([(2, 2), (2, 3), (3, 2), (3, 3)])
+        space = HistorySpace(validate_causet([f"e{i}" for i in range(n)], []), q)
+        family_size = rng.choice([2, 3, 4])
+        mapping = {}
+        for region in rng.sample(range(1 << n), rng.randint(1, 3)):
+            cells = space.phi_cells(region)
+            members = {sum(c for c in cells if rng.random() < 0.5) for _ in range(rng.randint(1, 8))}
+            mapping.update((e, region) for e in members)
+            spoil = rng.random() < 0.5
+            for k in range(2, family_size + 1):
+                for family in combinations(sorted(members), k):
+                    inter = space.omega
+                    for e in family:
+                        inter &= e
+                    if inter in mapping:
+                        continue
+                    roll = rng.random() if spoil else 1
+                    if roll < 0.02:
+                        continue  # left without a dom
+                    mapping[inter] = space.canonical_dom(inter) | (rng.getrandbits(n) if roll < 0.04 else 0)
+        universe = sorted(mapping)
+        report = check_dom_axioms(space, DomMap.explicit(mapping), family_size, axioms=(2,))
+        assert report.to_json(space) == {
+            "passed": report.results[0].passed,
+            "universe_size": len(universe),
+            "family_size": family_size,
+            "stamped": None,
+            "axioms": [brute_axiom2(space, universe, mapping.get, family_size)],
+        }
+        witness = report.results[0].witness
+        outcomes.add("passed" if witness is None else "undefined" if "reason" in witness else "outside")
+    assert outcomes == {"passed", "undefined", "outside"}
+
+
 def _axiom4_spaces():
     # every exhaustive space with all of its events, then every 4-causet
     # (q = 2) with 100 sampled events

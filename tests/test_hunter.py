@@ -421,13 +421,14 @@ def test_so1_and_so2_differing_stops_only_an_exact_hunt(caps, code, monkeypatch,
 
 def test_a_false_zero_mass_stops_the_hunt(monkeypatch, capsys):
     # mass(Omega) reading 0 would make every pair of the 2-antichain pass
-    # vacuously; the zero screener's replay on the history masses objects
+    # vacuously; the zero screener's replay on the history masses objects.
+    # The hunt counts the uniform model unswept, so a random one is swept
     from causetlab.cli import main
 
     table_mass = MeasureTable.mass
     monkeypatch.setattr(MeasureTable, "mass",
                         lambda m, e: 0 if e == m.space.omega else table_mass(m, e))
-    assert main(["hunt", "--max-elements", "2", "--workers", "1"]) == 3
+    assert main(["hunt", "--max-elements", "2", "--measures", "2", "--workers", "1"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("causetlab hunt: internal consistency failure: ")

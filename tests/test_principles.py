@@ -563,6 +563,8 @@ def test_first_witnesses_equal_the_full_matrix_on_every_small_causet():
                     bits, early, full = _first_witness_json(Model.build(space, measure), caps)
                     assert early == full, (causet.relation_pairs(), q, caps, bits)
                     seen.add(bits)
+                    # the hunter counts the uniform model as 1111 unswept
+                    assert measure is not measures[0] or bits == "1111"
     # every combination the hunts report, FIN-SO2 alone included
     assert seen == {"0000", "0001", "0011", "1111"}
 
