@@ -17,7 +17,8 @@ sweeps that caps cut short. The uniform measure is decided by theorem: it
 is a product measure, and every statement a sweep tests is about disjoint
 regions A, B and their past, which a product measure makes independent
 given any cell of the past. So every principle holds on it, under any
-caps; the hunter counts it as 1111 and builds no model or sweep for it.
+caps; the hunter counts it as 1111 and builds no table, model or sweep
+for it.
 
 Canonical form: the lexicographically minimal relation matrix over all
 relabelings, compared in expanding-submatrix block order (the block at depth
@@ -66,8 +67,9 @@ Workers: a hunt with N workers runs in N processes, the hunting one among
 them. It forks the other N - 1 once the task list is built, so they inherit
 the enumeration and the tasks, and sends them only task positions; each
 answers with its pickled result. The hunting process runs a task itself
-whenever no answer is waiting (`_forked_map`). Where `os.fork` is missing
-the hunt runs serially.
+whenever no answer is waiting (`_forked_map`). With one process, and where
+`os.fork` is missing, the same loop forks nothing and runs every task in
+the hunting process.
 """
 
 from __future__ import annotations
@@ -446,19 +448,19 @@ def _hunt_causet(task: tuple[int, tuple[int, ...], SearchConfig]) -> dict:
     if not _passes_filters(causet, config.filters):
         return {"index": index, "skipped": True, "findings": [], "truth": {}, "models": 0}
     space = HistorySpace(causet, config.alphabet_size)
-    measures = sample_measures(
-        space, config.measures_per_model, f"{config.seed}:{index}", config.denominator_bound
-    )
-    kinds = ["uniform"] + [f"random:{i}" for i in range(1, config.measures_per_model)]
+    # the uniform measure, first of `sample_measures`, is a product measure,
+    # which satisfies every principle under any caps (see the module
+    # docstring): it is counted, not drawn or swept; the others are drawn
+    # from the seeds `sample_measures` gives them
+    drawn = [
+        (f"random:{i}", MeasureTable.random(space, f"{config.seed}:{index}:{i}", config.denominator_bound))
+        for i in range(1, config.measures_per_model)
+    ]
     if config.include_perfect:
-        measures.append(MeasureTable.perfectly_correlated(space))
-        kinds.append("perfect")
+        drawn.append(("perfect", MeasureTable.perfectly_correlated(space)))
     findings = []
-    # the uniform measure, first, is a product measure, which satisfies
-    # every principle under any caps (see the module docstring): it is
-    # counted, not swept
     truth = {"1111": 1}
-    for kind, measure in zip(kinds[1:], measures[1:]):
+    for kind, measure in drawn:
         model = Model.build(space, measure)
         # zero_mode lists zero-mass screeners but never changes a bit
         first = first_witnesses(model, config.caps)
@@ -500,7 +502,7 @@ def _hunt_causet(task: tuple[int, tuple[int, ...], SearchConfig]) -> dict:
         "skipped": False,
         "findings": findings,
         "truth": truth,
-        "models": len(measures),
+        "models": 1 + len(drawn),
     }
 
 
@@ -603,12 +605,9 @@ def hunt(
     findings: list[dict] = []
 
     processes = min(config.workers, _usable_cores(), len(pending)) if hasattr(os, "fork") else 1
-    if processes > 1:
-        # closed here, not when collected, so no child outlives a failed merge
-        with contextlib.closing(_forked_map(_hunt_causet, pending, processes - 1)) as results:
-            _merge(results, findings, totals, checkpoint_path, config)
-    else:
-        _merge(map(_hunt_causet, pending), findings, totals, checkpoint_path, config)
+    # closed here, not when collected, so no child outlives a failed merge
+    with contextlib.closing(_forked_map(_hunt_causet, pending, max(processes - 1, 0))) as results:
+        _merge(results, findings, totals, checkpoint_path, config)
 
     return HuntReport(
         config=config,
@@ -633,11 +632,9 @@ def _forked_map(fn: Callable, items: list, children: int) -> Iterator:
     this process runs the next position itself. A task's exception is raised
     here when its position comes up. Children leave through `os._exit` at
     the end of their task pipe, and none outlives the generator: an
-    abnormal exit kills them, and every exit reaps them.
+    abnormal exit kills them, and every exit reaps them. With no child it
+    is the serial map, and imports neither `pickle` nor `select`.
     """
-    import pickle
-    import select
-
     workers: dict[int, tuple[int, int, list[int]]] = {}  # result fd -> pid, task fd, queue
     answers: dict[int, tuple[bool, object]] = {}
     handed = 0  # positions handed out, to a child or to this process
@@ -649,6 +646,9 @@ def _forked_map(fn: Callable, items: list, children: int) -> Iterator:
         workers[fd][2].append(handed)
         handed += 1
 
+    if children:
+        import pickle
+        import select
     try:
         for _ in range(children):
             task_r, task_w = os.pipe()

@@ -428,29 +428,33 @@ def _set_partitions(size: int) -> Iterator[list[Event]]:
         yield from rec(1, 1)
 
 
+# the largest history space whose set partitions find_ccs enumerates
+ALL_PARTITIONS_CAP = 8
+
+
 def find_ccs(
     m: MeasureTable,
     a: Event,
     b: Event,
     max_size: int,
     mode: str = "all",
-    cap: int = 8,
     dom: DomMap | None = None,
     zero_mode: str = "vacuous",
 ) -> list[tuple[Event, ...]]:
     """All qualifying common cause systems with at most max_size cells.
 
     mode="all" enumerates every set partition of the histories and needs
-    |Omega| <= cap (Bell numbers explode); beyond the cap it raises and
-    directs the caller to mode="regions", which only tries the partitions
-    Phi(R) over regions R of the causet. Deterministic output order.
+    |Omega| <= ALL_PARTITIONS_CAP (Bell numbers explode); beyond that it raises
+    and directs the caller to mode="regions", which only tries the
+    partitions Phi(R) over regions R of the causet. Deterministic output
+    order.
     """
     space = m.space
     out: list[tuple[Event, ...]] = []
     if mode == "all":
-        if space.size > cap:
+        if space.size > ALL_PARTITIONS_CAP:
             raise CapExceededError(
-                f"history space has {space.size} > {cap} histories; "
+                f"history space has {space.size} > {ALL_PARTITIONS_CAP} histories; "
                 "use mode='regions' to search full-specification partitions"
             )
         candidates: Iterator[Sequence[Event]] = _set_partitions(space.size)

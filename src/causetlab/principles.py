@@ -31,16 +31,18 @@ Phi cells, explicit doms event by event, both through the screening
 kernel `measure._screen_failures`. A verdict is summed in one pass over its
 family's pair plans (`_assemble`), keeps only the failing pairs and lists
 its witnesses, every failing event triple of the sweep, lazily from them.
-Replication and the gap check read the same plan: steps 1-2 are decided on
-the same events and list their failures only for a failing screener block.
+Replication and the gap check read the same plan. Replication step 1 is
+decided on the same events and lists its failures only for a failing
+screener block; step 2 is the sweep's own route, with the composed K =
+C & X & Y as the screeners of `_screened`, `_replayed` and `_witnesses`.
 
 Verdicts are deterministic: identical model and caps give byte-identical
 reports. Every decision is replayed where it is made (`_replayed`): each
 failing screener's recorded pairs together, and each zero-mass screener,
 on integer history masses summed without the partial-sum tables
 (`measure.replay_screen_failures`), and so is every listed witness outside
-those records, and every failing block and zero-mass skip of replication
-steps 1-2. `Fraction` sides are built only for listed witnesses.
+those records, and every failing step-1 block and zero-mass C of
+replication. `Fraction` sides are built only for listed witnesses.
 
 `check_principle`, `implication_matrix` and `replicate_so1_to_so2` sweep in
 full. The hunter needs only each principle's bit and first witness, so
@@ -54,7 +56,7 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from itertools import islice
+from itertools import islice, product
 from typing import Callable, Iterator, NamedTuple, Sequence
 from weakref import WeakKeyDictionary
 
@@ -464,13 +466,24 @@ def _replayed(measure: MeasureTable, outcome: _FamilyOutcome) -> _FamilyOutcome:
     return outcome
 
 
+def _joined(outcomes: Iterator[_FamilyOutcome]) -> _FamilyOutcome:
+    """The whole decision of a `_screened` run: its outcomes in one."""
+    failing: list[Failure] = []
+    zero: list[Event] = []
+    for outcome in outcomes:
+        failing += outcome.failing
+        zero += outcome.zero_screeners
+    return _FamilyOutcome(tuple(failing), tuple(zero))
+
+
 def _decider(model: Model, plan: _SweepPlan, whole: bool) -> Callable[[_PairPlan], _FamilyOutcome]:
     """The model's measure deciding pairs that are neither skipped nor
     trivial, on the events and screeners `plan` holds for their regions:
-    `_screened` read to the end (`whole`) or up to its first outcome,
-    replayed (`_replayed`) as it is decided. Decisions are kept per
-    (ra, rb, past), so SOk and FIN-SOk share each one, as do the two
-    families on a pair whose mutual and truncated joint pasts coincide."""
+    `_screened` read to the end and joined (`_joined`, `whole`) or up to
+    its first outcome, replayed (`_replayed`) as it is decided. Decisions
+    are kept per (ra, rb, past), so SOk and FIN-SOk share each one, as do
+    the two families on a pair whose mutual and truncated joint pasts
+    coincide."""
     space, measure = model.space, model.measure
     first_only = not model.dom.is_canonical
     decided: dict[tuple[Region, Region, Region], _FamilyOutcome] = {}
@@ -483,15 +496,7 @@ def _decider(model: Model, plan: _SweepPlan, whole: bool) -> Callable[[_PairPlan
                 measure, pair.ra, pair.rb, plan.events(space, pair.ra)[0], plan.events(space, pair.rb)[0],
                 plan.screeners(space, pair.past), first_only,
             )
-            if whole:
-                outcomes = list(outcomes)
-                outcome = _FamilyOutcome(
-                    tuple(f for o in outcomes for f in o.failing),
-                    tuple(c for o in outcomes for c in o.zero_screeners),
-                )
-            else:
-                outcome = next(outcomes)
-            outcome = decided[key] = _replayed(measure, outcome)
+            outcome = decided[key] = _replayed(measure, _joined(outcomes) if whole else next(outcomes))
         return outcome
 
     return decide
@@ -787,10 +792,15 @@ def _step1_failures(
     if not screens_off(measure, x, y, c):
         yield "X,Y", x, y
     for a in events_a:
+        ax = a & x
         for b in events_b:
-            for kind, e1, e2 in (("A&X,B&Y", a & x, b & y), ("A&X,B", a & x, b), ("A,B&Y", a, b & y)):
-                if not screens_off(measure, e1, e2, c):
-                    yield kind, e1, e2
+            by = b & y
+            if not screens_off(measure, ax, by, c):
+                yield "A&X,B&Y", ax, by
+            if not screens_off(measure, ax, b, c):
+                yield "A&X,B", ax, b
+            if not screens_off(measure, a, by, c):
+                yield "A,B&Y", a, by
 
 
 def replicate_so1_to_so2(
@@ -813,13 +823,18 @@ def replicate_so1_to_so2(
     Step 2: whenever mu(X&Y&C) > 0, conditioning on X&Y&C factorizes A and B.
     Step 3: C&X&Y is a (nonempty) full specification of P2(ra, rb).
 
-    Steps 1-2 are decided per (X, Y, C) block on the events and Phi of the
-    sweep plan for `caps`; only a failing block lists its failures over the
-    capped Gamma. Like the sweep's decisions, each failing block's pairs are
-    replayed together (`replay_screen_failures`), and so is the zero mass of
-    each C or K that skips a block. With canonical doms and an untruncated
-    precheck steps 1-2 follow from SO1 on the enlarged pair (decomposition,
-    weak union), so a failure there raises InternalConsistencyError.
+    The (X, Y, C) blocks, X over Phi(flank a), then Y, then C over Phi(P1),
+    are read on the events and Phi of the sweep plan for `caps`, in one pass
+    that checks step 3. K lies inside C, so a zero-mass C is replayed once
+    (`replay_screen_failures`) and drops its blocks. Step 1 is decided block
+    by block; only a failing block lists its failures over the capped Gamma,
+    replayed together. Step 2 is the sweep's own route: the K of the
+    remaining blocks, in block order, are the screeners of `_screened`,
+    whose whole decision (`_joined`) is replayed (`_replayed`), zero-mass K
+    included, and the failing K list their pairs over the capped Gamma
+    (`_witnesses`). With canonical doms and an untruncated precheck steps
+    1-2 follow from SO1 on the enlarged pair (decomposition, weak union), so
+    a failure there raises InternalConsistencyError.
     """
     caps = caps or Caps()
     space, measure, dom, causet = model.space, model.measure, model.dom, model.causet
@@ -842,50 +857,43 @@ def replicate_so1_to_so2(
         return ReplicationReport(ra, rb, False, precheck_failures, ())
     (events_a, take_a, _), (events_b, take_b, _) = plan.events(space, ra), plan.events(space, rb)
     phi_x, phi_y, phi_p1, phi_p2 = _gap_screeners(model, plan, ra, rb)
-
-    step1: list[dict] = []
-    step2: list[dict] = []
-    step3: list[dict] = []
-    checked1 = checked2 = checked3 = 0
     keys = space.event_keys
-    for cell_x in phi_x:
-        for cell_y in phi_y:
-            for cell_c in phi_p1:
-                checked3 += 1
-                k = cell_c & cell_x & cell_y
-                if k == 0 or k not in phi_p2:
-                    step3.append({
-                        "x": keys(cell_x), "y": keys(cell_y), "c": keys(cell_c),
-                        "reason": "C&X&Y is not a full specification of the truncated joint past",
-                    })
-                # K lies inside C, so mu(K) > 0 only if mu(C) > 0
-                if measure.mass(cell_c) == 0:
-                    replay_screen_failures(measure, cell_c, ())
-                    continue
-                checked1 += 1 + 3 * take_a * take_b
-                block = (cell_x, cell_y, cell_c)
-                if next(_step1_failures(measure, events_a, events_b, *block), None):
-                    found = list(_step1_failures(measure, gamma(ra), gamma(rb), *block))
-                    replay_screen_failures(measure, cell_c, [(e1, e2) for _, e1, e2 in found])
-                    for kind, e1, e2 in found:
-                        side1, side2 = ("x", "y") if kind == "X,Y" else ("event_1", "event_2")
-                        step1.append({"pair": kind, side1: keys(e1), side2: keys(e2), "screener": keys(cell_c)})
-                if measure.mass(k) == 0:
-                    replay_screen_failures(measure, k, ())
-                    continue
-                checked2 += take_a * take_b
-                if next(_screen_failures(measure, events_a, events_b, k), None):
-                    found = list(_screen_failures(measure, gamma(ra), gamma(rb), k))
-                    replay_screen_failures(measure, k, found)
-                    for a, b in found:
-                        joint, product = screening_sides(measure, a, b, k)
-                        step2.append({"a": keys(a), "b": keys(b), "k": keys(k), "lhs": product, "rhs": joint})
+    # K lies inside C, so mu(K) > 0 only if mu(C) > 0: a zero-mass C drops its blocks
+    zero_c = set()
+    for c in phi_p1:
+        if measure.mass(c) == 0:
+            replay_screen_failures(measure, c, ())
+            zero_c.add(c)
+    step1, step3, ks = [], [], []
+    for block in product(phi_x, phi_y, phi_p1):
+        cell_x, cell_y, cell_c = block
+        k = cell_c & cell_x & cell_y
+        if k == 0 or k not in phi_p2:
+            step3.append({
+                "x": keys(cell_x), "y": keys(cell_y), "c": keys(cell_c),
+                "reason": "C&X&Y is not a full specification of the truncated joint past",
+            })
+        if cell_c in zero_c:
+            continue
+        ks.append(k)
+        if next(_step1_failures(measure, events_a, events_b, *block), None):
+            found = list(_step1_failures(measure, gamma(ra), gamma(rb), *block))
+            replay_screen_failures(measure, cell_c, [(e1, e2) for _, e1, e2 in found])
+            for kind, e1, e2 in found:
+                side1, side2 = ("x", "y") if kind == "X,Y" else ("event_1", "event_2")
+                step1.append({"pair": kind, side1: keys(e1), side2: keys(e2), "screener": keys(cell_c)})
+    outcomes = _screened(measure, ra, rb, events_a, events_b, ks, not dom.is_canonical)
+    decided = _replayed(measure, _joined(outcomes))
+    step2 = [
+        {"a": keys(w.event_a), "b": keys(w.event_b), "k": keys(w.screener), "lhs": w.rhs, "rhs": w.lhs}
+        for w in _witnesses(model, plan, "so2", decided.failing)
+    ]
     if (step1 or step2) and dom.is_canonical and not any(truncated for truncated, _ in prechecks):
         raise InternalConsistencyError("replication steps 1-2 fail after an untruncated canonical SO1 precheck")
     steps = (
-        StepResult(1, not step1, checked1, tuple(step1)),
-        StepResult(2, not step2, checked2, tuple(step2)),
-        StepResult(3, not step3, checked3, tuple(step3)),
+        StepResult(1, not step1, len(ks) * (1 + 3 * take_a * take_b), tuple(step1)),
+        StepResult(2, not step2, (len(ks) - len(decided.zero_screeners)) * take_a * take_b, tuple(step2)),
+        StepResult(3, not step3, len(phi_x) * len(phi_y) * len(phi_p1), tuple(step3)),
     )
     return ReplicationReport(ra, rb, True, 0, steps)
 

@@ -741,6 +741,26 @@ def test_replication_steps_replay_what_they_decide():
         replicate_so1_to_so2(model, causet.region("a"), causet.region("b"), Caps(algebra=3))
 
 
+@pytest.mark.parametrize("zero", [{"p": 0}, {"p": 0, "x": 0, "y": 0}], ids=["C", "K"])
+def test_a_false_zero_mass_stops_replication(zero, monkeypatch):
+    # p < x < a, p < y < b, uniform: a table mass read as 0 on a screener C
+    # of P1 = {p}, or on a K = C & X & Y, contradicts the history masses.
+    # A false zero C is caught by its zero-mass replay, a false zero K by
+    # the first replay that reads it: step 1's (X, Y) pair, whose X & Y & C
+    # is K, or step 2's zero-mass replay. The precheck is forced to pass, as
+    # the tampering would stop it first
+    import causetlab.principles as principles
+
+    causet = validate_causet(["p", "x", "y", "a", "b"], [("p", "x"), ("p", "y"), ("x", "a"), ("y", "b")])
+    model = _uniform_model(causet)
+    target = model.space.cylinder(zero)
+    table_mass = model.measure.mass
+    model.measure.mass = lambda e: 0 if e == target else table_mass(e)
+    monkeypatch.setattr(principles, "_eval_family", lambda *args: (True, principles._FamilyOutcome()))
+    with pytest.raises(InternalConsistencyError, match="differ from the history masses"):
+        replicate_so1_to_so2(model, causet.region("a"), causet.region("b"))
+
+
 def test_replicate_requires_spacelike(chain2):
     model = _uniform_model(chain2)
     with pytest.raises(NotSpacelikeError):
