@@ -2,9 +2,10 @@
 
 Exit codes: 0 means completed with everything checked passing; 1 means
 completed but violations or findings were reported (on stdout as JSON);
-2 means usage or input error (one-line diagnostic on stderr); 3 means an
-internal consistency failure, which is an implementation bug and never a
-finding (one-line "internal consistency failure:" diagnostic on stderr).
+2 means usage or input error, or a failed environment such as a hunt
+worker that died (one-line diagnostic on stderr); 3 means an internal
+consistency failure, which is an implementation bug and never a finding
+(one-line "internal consistency failure:" diagnostic on stderr).
 
 All randomness flows through seed flags, reports carry no clocks or machine
 state, and JSON is emitted with sorted keys, so identical invocations print

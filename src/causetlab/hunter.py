@@ -63,13 +63,14 @@ measure seeds are derived from (seed, index), and results are merged in
 index order, so the report is a pure function of the config, whatever the
 worker count.
 
-Workers: a hunt with N workers runs in N processes, the hunting one among
-them. It forks the other N - 1 once the task list is built, so they inherit
-the enumeration and the tasks, and sends them only task positions; each
-answers with its pickled result. The hunting process runs a task itself
-whenever no answer is waiting (`_forked_map`). With one process, and where
-`os.fork` is missing, the same loop forks nothing and runs every task in
-the hunting process.
+Workers: a hunt with N workers runs in up to N processes, the hunting one
+among them, but never more than the usable cores, the causets left, or the
+processes the pending work pays for (`_BREAK_EVEN`). It forks the others
+once the task list is built, so they inherit the enumeration and the tasks,
+and sends them only task positions; each answers with its pickled result.
+The hunting process runs a task itself whenever no answer is waiting
+(`_forked_map`). With one process, and where `os.fork` is missing, the same
+loop forks nothing and runs every task in the hunting process.
 """
 
 from __future__ import annotations
@@ -563,6 +564,34 @@ class HuntReport(NamedTuple):
         return {"findings": self.findings, "summary": self.summary_json()}
 
 
+# The pending work at which two processes tie with one; below it the hunt
+# forks nothing. The work counts the drawn models' histories: q^n for each
+# measure drawn on an n-element causet. The uniform measure is counted, not
+# decided, and a causet's own set-up (its space and filters, about 25 us)
+# costs about what sending its task and answer does, so neither is counted.
+# Nor are the filters or the caps: a causet the filters skip is counted in
+# full, and the caps, which change what a history costs, are taken at their
+# defaults, so a filtered or capped hunt may still fork below its own
+# break-even. Above it the hunt takes every process the other bounds allow:
+# the table measures one process against two only. Calibrated on 2 cores,
+# Python 3.11.7, before this bound, with no filter and the default caps:
+# `causetlab.cli.main` wall and CPU time (this process and its children),
+# median of fresh `-I` processes
+#
+#   hunt flags                            work       1 process    2 processes
+#                                                  wall/cpu ms    wall/cpu ms
+#   -n3 -m5 --include-perfect              250       12.7/12.7      17.6/26.4
+#   -n4 -m2 --include-perfect              612       18.6/18.6      24.5/38.6
+#   -n4 -m5 --include-perfect             1530       29.7/29.8      32.2/49.8
+#   -n4 -m7 --include-perfect             2142       37.7/37.7      39.6/56.0
+#   -n4 -m9 --include-perfect             2754       46.6/46.6      39.3/64.6
+#   -n4 -m3 --alphabet 3                  2904       38.5/38.5      34.3/54.2
+#   -n5 -m2 --include-perfect             4644       80.1/80.2      60.6/99.7
+#   -n5 -m5 --include-perfect            11610     136.1/136.1    100.6/177.4
+#   -n6 -m5 --include-perfect           113370   1079.1/1079.0   606.8/1144.4
+_BREAK_EVEN = 2500
+
+
 def _usable_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -581,12 +610,12 @@ def hunt(
     combinations, and (necessarily empty, since violations abort) the list of
     internal-consistency failures. Deterministic in the seed regardless of
     the worker count. config.workers processes share the causets, this one
-    and forked children, but never more than the usable cores or the
-    pending causets, and no child outlives the call. A checkpoint file
-    records the last completed causet index and the summary totals;
-    resume=True skips causets at or below it and merges the recorded
-    totals, so the summary equals that of an uninterrupted run (previously
-    emitted findings are not re-emitted).
+    and forked children, but never more than the usable cores, the causets
+    left, or the processes the pending work pays for, and no child outlives
+    the call. A checkpoint file records the last completed causet index and
+    the summary totals; resume=True skips causets at or below it and merges
+    the recorded totals, so the summary equals that of an uninterrupted run
+    (previously emitted findings are not re-emitted).
     """
     if config.max_elements > HARD_ENUMERATION_LIMIT:
         raise LimitError(f"max_elements exceeds the hard limit {HARD_ENUMERATION_LIMIT}")
@@ -605,6 +634,11 @@ def hunt(
     findings: list[dict] = []
 
     processes = min(config.workers, _usable_cores(), len(pending)) if hasattr(os, "fork") else 1
+    if processes > 1:
+        drawn = config.measures_per_model - 1 + config.include_perfect
+        work = drawn * sum(config.alphabet_size ** len(rows) for _, rows, _ in pending)
+        if work < _BREAK_EVEN:
+            processes = 1
     # closed here, not when collected, so no child outlives a failed merge
     with contextlib.closing(_forked_map(_hunt_causet, pending, max(processes - 1, 0))) as results:
         _merge(results, findings, totals, checkpoint_path, config)
@@ -630,10 +664,12 @@ def _forked_map(fn: Callable, items: list, children: int) -> Iterator:
     and length-prefixed, on its own result pipe. Each child is kept one
     position ahead of the one it is running; whenever no answer is waiting,
     this process runs the next position itself. A task's exception is raised
-    here when its position comes up. Children leave through `os._exit` at
-    the end of their task pipe, and none outlives the generator: an
-    abnormal exit kills them, and every exit reaps them. With no child it
-    is the serial map, and imports neither `pickle` nor `select`.
+    here when its position comes up; a child that ends before it has
+    answered its positions raises `ChildProcessError`, naming them. Children
+    leave through `os._exit` at the end of their task pipe, and none
+    outlives the generator: an abnormal exit kills them, and every exit
+    reaps them. With no child it is the serial map, and imports neither
+    `pickle` nor `select`.
     """
     workers: dict[int, tuple[int, int, list[int]]] = {}  # result fd -> pid, task fd, queue
     answers: dict[int, tuple[bool, object]] = {}
@@ -687,9 +723,10 @@ def _forked_map(fn: Callable, items: list, children: int) -> Iterator:
                 for fd in ready:
                     pid, _, queue = workers[fd]
                     size = _read_exact(fd, 4)
-                    if not size:
-                        raise RuntimeError(f"hunt worker {pid} exited with tasks {queue} unfinished")
-                    got, ok, value = pickle.loads(_read_exact(fd, int.from_bytes(size, "little")))
+                    data = size and _read_exact(fd, int.from_bytes(size, "little"))
+                    if not data:  # the child died, before or while answering
+                        raise ChildProcessError(f"hunt worker {pid} exited with tasks {queue} unfinished")
+                    got, ok, value = pickle.loads(data)
                     queue.remove(got)
                     answers[got] = ok, value
                     if handed < len(items):

@@ -295,7 +295,9 @@ def test_hunt_trivial_implications_hold_in_every_matrix():
         assert (not so2) or fin2
 
 
-def test_hunt_deterministic_across_workers():
+def test_hunt_deterministic_across_workers(monkeypatch):
+    # a break-even of 0 makes any pending work pay for the second process
+    monkeypatch.setattr(hunter, "_BREAK_EVEN", 0)
     cfg = dict(max_elements=3, measures_per_model=3, seed=11, include_perfect=True)
     r1 = hunt(SearchConfig(**cfg, workers=1))
     r2 = hunt(SearchConfig(**cfg, workers=2))
@@ -371,6 +373,8 @@ def test_alphabet_below_two_rejected(alphabet, monkeypatch, capsys):
 
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # a break-even of 0 would fork for any work, so the refusal must come first
+    monkeypatch.setattr(hunter, "_BREAK_EVEN", 0)
     with pytest.raises(ValueError, match="alphabet_size must be at least 2"):
         SearchConfig(max_elements=2, alphabet_size=alphabet)
     argv = ["hunt", "--max-elements", "2", "--alphabet", str(alphabet), "--workers", "2"]
@@ -625,13 +629,22 @@ def test_checkpoint_bytes_and_resume_match_the_committed_fixture(tmp_path, monke
     assert resumed.findings == [f for f in full.findings if f["index"] > 3]
 
 
-@pytest.mark.parametrize("cores, max_elements, expected",
-                         [(3, 3, 3), (8, 2, 3), (1, 3, None), (4, 4, 4)])
-def test_pool_never_exceeds_cores_or_pending_causets(monkeypatch, cores, max_elements, expected):
+@pytest.mark.parametrize("cores, max_elements, expected, break_even", [
+    # a break-even of 0 makes any pending work pay for every process
+    *(pytest.param(c, n, e, 0, id=f"{c}-{n}-{e}")
+      for c, n, e in [(3, 3, 3), (8, 2, 3), (1, 3, None), (4, 4, 4)]),
+    # up to n = 4 the pending work is 2 drawn models times 306 histories
+    (4, 4, None, None), (4, 4, None, 613), (4, 4, 4, 612),
+])
+def test_pool_never_exceeds_cores_or_pending_causets(monkeypatch, cores, max_elements, expected, break_even):
     # the hunting process is one of the `expected` processes, so it forks
-    # one child fewer; a single process forks none. Four processes on the
-    # 24 causets up to n = 4 may outnumber the real cores, and must still
-    # print the serial bytes
+    # one child fewer; a single process forks none. Below a break-even of
+    # pending work (None: the module's own, which the n <= 4 hunt is below)
+    # nothing is forked, and at it every process the cores allow. Four
+    # processes on the 24 causets up to n = 4 may outnumber the real cores,
+    # and must still print the serial bytes
+    if break_even is not None:
+        monkeypatch.setattr(hunter, "_BREAK_EVEN", break_even)
     cfg = dict(max_elements=max_elements, measures_per_model=2, seed=11, include_perfect=True)
     serial = hunt(SearchConfig(**cfg))
     forks = []
@@ -672,6 +685,7 @@ def test_a_task_error_in_any_worker_exits_3_and_leaves_no_child(where, monkeypat
         return real(task)
 
     monkeypatch.setattr(hunter, "_hunt_causet", broken)
+    monkeypatch.setattr(hunter, "_BREAK_EVEN", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert main(["hunt", "--max-elements", "3", "--include-perfect", "--workers", "2"]) == 3
     out, err = capsys.readouterr()
@@ -689,6 +703,7 @@ def test_an_interrupt_in_the_hunting_process_leaves_no_child(monkeypatch):
         return real(task)
 
     monkeypatch.setattr(hunter, "_hunt_causet", interrupted)
+    monkeypatch.setattr(hunter, "_BREAK_EVEN", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     with pytest.raises(KeyboardInterrupt):
         hunt(SearchConfig(max_elements=3, include_perfect=True, workers=2))
@@ -713,6 +728,7 @@ def test_a_resumed_two_worker_hunt_prints_the_serial_summary(tmp_path, monkeypat
             raise InternalConsistencyError("interrupted")
         return real(task)
 
+    monkeypatch.setattr(hunter, "_BREAK_EVEN", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     with monkeypatch.context() as patch:
         patch.setattr(hunter, "_hunt_causet", dying)
@@ -723,4 +739,38 @@ def test_a_resumed_two_worker_hunt_prints_the_serial_summary(tmp_path, monkeypat
     resumed = capsys.readouterr().out.splitlines()
     assert resumed[-1] == serial[-1]
     assert resumed[:-1] == [line for line in serial[:-1] if json.loads(line)["index"] > 3]
+    assert _no_child_left()
+
+
+@pytest.mark.parametrize("how", ["exits", "unpicklable", "truncated"])
+def test_a_dead_worker_exits_2_and_leaves_no_child(how, monkeypatch, capsys):
+    # the forked child ends before it has answered: it leaves in its task,
+    # its answer cannot be pickled, or it dies halfway through writing it.
+    # Exit 1 would read as "findings"
+    from causetlab.cli import main
+
+    parent, real, write = os.getpid(), hunter._hunt_causet, hunter._write_all
+
+    def dying(task):
+        if how == "exits" and os.getpid() != parent:
+            os._exit(0)
+        result = real(task)
+        if how == "unpicklable":  # only a child pickles its answer
+            result["unpicklable"] = lambda: None
+        return result
+
+    def cut_short(fd, data):
+        write(fd, data[:-1])
+        os._exit(0)
+
+    monkeypatch.setattr(hunter, "_hunt_causet", dying)
+    if how == "truncated":
+        monkeypatch.setattr(hunter, "_write_all", cut_short)
+    monkeypatch.setattr(hunter, "_BREAK_EVEN", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert main(["hunt", "--max-elements", "3", "--include-perfect", "--workers", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("causetlab hunt: hunt worker ") and err.count("\n") == 1
+    assert "unfinished" in err
     assert _no_child_left()

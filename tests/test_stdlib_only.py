@@ -42,7 +42,8 @@ def test_no_module_imports_dataclasses():
 
 def test_import_and_a_serial_hunt_load_no_unneeded_module():
     # -S as well as -I: no site-packages hook can load anything first; two
-    # usable cores are claimed so that the second hunt forks
+    # usable cores are claimed, and a break-even of 0 makes any work pay for
+    # them, so that the second hunt forks
     probe = "\n".join([
         "import sys",
         f"sys.path.insert(0, {str(PACKAGE.parent)!r})",
@@ -54,6 +55,8 @@ def test_import_and_a_serial_hunt_load_no_unneeded_module():
         "print(sorted(m for m in unneeded if m in sys.modules))",
         "import os",
         "os.sched_getaffinity = lambda pid: {0, 1}",
+        "import causetlab.hunter",
+        "causetlab.hunter._BREAK_EVEN = 0",
         "hunt(SearchConfig(max_elements=2, workers=2))",
         "print(sorted(m for m in unneeded if m in sys.modules))",
     ])
