@@ -18,11 +18,12 @@ this definition is implemented and tested.
 
 A causet's order and elements never change after construction and every
 operation is a pure function of them. The only state built after
-construction is two tables over all 2^n regions, the causal pasts and the
-causal complements, each filled once on first use with the one value each
-region can have, so concurrent reads and transfer between workers stay
-safe. The bit-lane columns of the region identity check depend only on the
-number of elements, up to 8, and are cached per module.
+construction is the index of the labels and two tables over all 2^n
+regions, the causal pasts and the causal complements, each filled once on
+first use with the one value it can have, so concurrent reads and transfer
+between workers stay safe. The bit-lane columns of the region identity
+check depend only on the number of elements, up to 8, and are cached per
+module.
 """
 
 from __future__ import annotations
@@ -83,13 +84,12 @@ class Causet:
     def __init__(self, elements: Sequence[str], closed_above: Sequence[int]):
         """Internal constructor; use :func:`validate_causet` or :meth:`from_relations`."""
         self.elements: tuple[str, ...] = tuple(elements)
-        self._index: dict[str, int] = {e: i for i, e in enumerate(self.elements)}
         # _above[i] = mask of j with i < j; _below[i] = mask of j with j < i.
         self._above: tuple[int, ...] = tuple(closed_above)
         n = len(self.elements)
         below = [0] * n
-        for i in range(n):
-            for j in _bits(self._above[i]):
+        for i, row in enumerate(self._above):
+            for j in _bits(row):
                 below[j] |= 1 << i
         self._below: tuple[int, ...] = tuple(below)
         self.full: Region = (1 << n) - 1
@@ -118,16 +118,24 @@ class Causet:
 
     # -- region plumbing ------------------------------------------------
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {e: i for i, e in enumerate(self.elements)}
+
+    def _position(self, label: str) -> int:
+        """The index of an element label; rejects unknown labels."""
+        i = self._index.get(label)
+        if i is None:
+            raise ForeignRegionError(f"unknown element {label!r}")
+        return i
+
     def region(self, members: Iterable[str] | str) -> Region:
         """Build a region mask from element labels; rejects unknown labels."""
         if isinstance(members, str):
             members = [p for p in members.split(",") if p]
         mask = 0
         for label in members:
-            i = self._index.get(label)
-            if i is None:
-                raise ForeignRegionError(f"unknown element {label!r}")
-            mask |= 1 << i
+            mask |= 1 << self._position(label)
         return mask
 
     def labels(self, r: Region) -> tuple[str, ...]:
@@ -139,7 +147,8 @@ class Causet:
             raise ForeignRegionError(f"region mask {r:#x} has bits outside the causet")
 
     def precedes(self, a: str, b: str) -> bool:
-        return bool(self._above[self._index[a]] >> self._index[b] & 1)
+        """a < b in the causal order; rejects unknown labels."""
+        return bool(self._above[self._position(a)] >> self._position(b) & 1)
 
     # -- the region algebra ----------------------------------------------
 

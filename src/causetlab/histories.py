@@ -33,7 +33,6 @@ from .causet import Causet, Region, _bits, _popcount
 from .errors import (
     CapExceededError,
     EmptyIntersectionError,
-    ForeignRegionError,
     LimitError,
     NotDisjointError,
     NotFullSpecError,
@@ -122,9 +121,7 @@ class HistorySpace:
         """Histories matching every element=value constraint given."""
         mask = self.omega
         for label, value in assignment.items():
-            i = self.causet._index.get(label)
-            if i is None:
-                raise ForeignRegionError(f"unknown element {label!r}")
+            i = self.causet._position(label)
             if not 0 <= value < self.q:
                 raise ValueError(f"value {value} for {label!r} outside the alphabet")
             mask &= self._value_masks[i][value]

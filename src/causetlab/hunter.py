@@ -45,7 +45,11 @@ pruning). A leaf's cells hold global twins, so one labeling per leaf,
 closed under twin swaps, gives every least labeling; the maps between the
 leaves' labelings and the twin transpositions generate the automorphism
 group, and the form keeps them, moved to its own positions
-(`_Canonical.automorphisms`).
+(`_Canonical.automorphisms`). The search reads each cell's unary code,
+(1 << popcount) - 1, and the set bits of each mask from 256-entry tables
+(`_UNARY`, `causet._BYTE_BITS`), which cover every mask of an order on at
+most 8 elements; on a wider order it computes both (`_Computed`), so
+`canonical_form` takes orders of any size.
 
 Enumeration extends each (n-1)-element representative by one new maximal
 element over every order ideal; every finite poset has a maximal element, so
@@ -55,8 +59,10 @@ candidates are isomorphic (orbit pruning). A candidate is also skipped when
 another of its maximal elements has a larger down-set than the new one
 (deletion pruning, after McKay's canonical deletion, "Isomorph-free
 exhaustive generation", 1998): every class still keeps the candidate that
-deletes a maximal element with the largest down-set. Deletion pruning is
-constant on the orbits, so the two cuts compose.
+deletes a maximal element with the largest down-set. Each base keeps one
+mask per ideal size s, the maximal elements whose down-sets are larger
+than s, and an ideal of size s that misses one of them is skipped.
+Deletion pruning is constant on the orbits, so the two cuts compose.
 
 Determinism: work is partitioned by canonical causet index, per-causet
 measure seeds are derived from (seed, index), and results are merged in
@@ -81,7 +87,7 @@ import os
 from functools import cache
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .causet import Causet, _bits
+from .causet import _BYTE_BITS, Causet, _bits
 from .errors import LimitError
 from .histories import HistorySpace, check_space_limits
 from .measure import MeasureTable
@@ -123,13 +129,13 @@ def canonical_form(lt: Sequence[int]) -> _Canonical:
     orders, twin = _least_labelings(lt)
     first = orders[0]
     position = [0] * len(lt)
-    out = []
     for p, a in enumerate(first):
         position[a] = p
+    out = []
+    for a in first:
         row = 0
-        src = lt[a]
-        for b, u in enumerate(first):
-            row |= (src >> u & 1) << b
+        for b in _bits(lt[a]):
+            row |= 1 << position[b]
         out.append(row)
     form = _Canonical(out)
     gens = [tuple(position[a] for a in order) for order in orders[1:]]
@@ -142,6 +148,30 @@ def canonical_form(lt: Sequence[int]) -> _Canonical:
     return form
 
 
+# The unary code (1 << popcount(m)) - 1 of every mask m below 2^8, which
+# covers every cell of an order on at most 8 elements; a block is the
+# concatenation of its cells' codes
+_UNARY: tuple[int, ...] = tuple((1 << m.bit_count()) - 1 for m in range(256))
+
+
+class _Computed:
+    """A byte table's stand-in on masks of any width, which computes each
+    entry: the cell search reads `_UNARY` and `_BYTE_BITS` through these on
+    orders of more than 8 elements."""
+
+    __slots__ = ("entry",)
+
+    def __init__(self, entry: Callable[[int], object]):
+        self.entry = entry
+
+    def __getitem__(self, mask: int):
+        return self.entry(mask)
+
+
+_WIDE_UNARY = _Computed(lambda mask: (1 << mask.bit_count()) - 1)
+_WIDE_BITS = _Computed(_bits)
+
+
 def _least_labelings(lt: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     """One labeling (element placed at each position) per leaf of the cell
     search, which starts from the maximum antichains, and each element's
@@ -149,24 +179,23 @@ def _least_labelings(lt: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     whose block sequence is least: a leaf's cells hold global twins, and
     twin pruning skips only twin-swapped states."""
     n = len(lt)
+    # the byte tables, or their computed stand-ins above 8 elements
+    unary, bits = (_UNARY, _BYTE_BITS) if n <= 8 else (_WIDE_UNARY, _WIDE_BITS)
     below = [0] * n
     for i, row in enumerate(lt):
-        for j in _bits(row):
+        for j in bits[row]:
             below[j] |= 1 << i
     # twins (equal successor and predecessor masks) are swapped by an
     # automorphism that fixes every other element
     first: dict[tuple[int, int], int] = {}
     twin = [first.setdefault(key, o) for o, key in enumerate(zip(lt, below))]
     full = (1 << n) - 1
-    # the maximum antichains, each grown by later elements incomparable to
-    # all of it
+    # the maximum antichains, each grown by the elements later than and
+    # incomparable to all of it; after[j] holds those for j alone
+    after = [full >> j + 1 << j + 1 & ~(lt[j] | below[j]) for j in range(n)]
     grown = [(0, full)]
     while True:
-        longer = [
-            (a | 1 << j, later >> j + 1 << j + 1 & ~(lt[j] | below[j]))
-            for a, later in grown
-            for j in _bits(later)
-        ]
+        longer = [(a | 1 << j, later & after[j]) for a, later in grown for j in bits[later]]
         if not longer:
             break
         grown = longer
@@ -175,7 +204,7 @@ def _least_labelings(lt: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     level = {}
     for a, _ in grown:
         under = 0
-        for i in _bits(a):
+        for i in bits[a]:
             under |= below[i]
         level[a,] = a, under
     for _ in range(grown[0][0].bit_count(), n):
@@ -190,15 +219,15 @@ def _least_labelings(lt: Sequence[int]) -> tuple[list[list[int]], list[int]]:
             sized = [(c, c.bit_count()) for c in cells]
             tried = 0
             free = full & ~placed
-            for u in _bits(free & ~under or free):
+            for u in bits[free & ~under or free]:
                 if tried >> twin[u] & 1:
                     continue
                 tried |= 1 << twin[u]
                 up, down = lt[u], below[u]
                 row = col = 0
                 for c, size in sized:
-                    row = row << size | (1 << (c & up).bit_count()) - 1
-                    col = col << size | (1 << (c & down).bit_count()) - 1
+                    row = row << size | unary[c & up]
+                    col = col << size | unary[c & down]
                 key = row << n | col
                 if key == floor:
                     best.append((cells, placed, under, u))
@@ -210,17 +239,22 @@ def _least_labelings(lt: Sequence[int]) -> tuple[list[list[int]], list[int]]:
         level = {}
         for cells, placed, under, u in best:
             up, down = lt[u], below[u]
+            related = up | down
             split = []
             for c in cells:
-                related = c & (up | down)
-                split += [part for part in (c & ~related, related) if part]
-            x = (split[-1] & -split[-1]).bit_length() - 1
+                r = c & related
+                if r != c:
+                    split.append(c ^ r)
+                if r:
+                    split.append(r)
+            last = split[-1]
+            x = (last & -last).bit_length() - 1
             if ((lt[x] ^ up) | (below[x] ^ down)) & placed:
                 split.append(1 << u)
             else:
-                split[-1] |= 1 << u
+                split[-1] = last | 1 << u
             level[tuple(split)] = placed | 1 << u, under | down
-    return [[i for c in cells for i in _bits(c)] for cells in level], twin
+    return [[i for c in cells for i in bits[c]] for cells in level], twin
 
 
 def _order_ideals(below: Sequence[int]) -> Iterator[int]:
@@ -256,17 +290,19 @@ def _representatives(n: int) -> list[_Canonical]:
             for j, row in enumerate(base):
                 for i in _bits(row):
                     below[i] |= 1 << j
-            # the base's maximal elements, with their down-set sizes
-            maximal = [(below[i].bit_count(), 1 << i) for i, row in enumerate(base) if not row]
+            # must[size]: the base's maximal elements whose down-sets are
+            # larger than size, all of which an ideal of that size must hold
+            must = [0] * n
+            for i, row in enumerate(base):
+                if not row:
+                    for size in range(below[i].bit_count()):
+                        must[size] |= 1 << i
             gens = base.automorphisms
             tried: set[int] = set()
             for ideal in _order_ideals(below):
-                if ideal in tried:
-                    continue
-                size = ideal.bit_count()
                 # deletion pruning: keep the candidate only if the new element
                 # has a largest down-set among its maximal elements
-                if any(down > size and not ideal & bit for down, bit in maximal):
+                if ideal in tried or must[ideal.bit_count()] & ~ideal:
                     continue
                 # orbit pruning: an automorphism of the base maps the ideal to
                 # one whose candidate is isomorphic, so the orbit is tried once
@@ -278,10 +314,10 @@ def _representatives(n: int) -> list[_Canonical]:
                         if moved not in tried:
                             tried.add(moved)
                             orbit.append(moved)
-                candidate = tuple(
-                    row | (new_bit if ideal >> i & 1 else 0)
-                    for i, row in enumerate(base)
-                ) + (0,)
+                candidate = list(base)
+                for i in _bits(ideal):
+                    candidate[i] |= new_bit
+                candidate.append(0)
                 seen.add(canonical_form(candidate))
         reps = sorted(seen)
     _reps_cache[n] = reps
@@ -298,8 +334,13 @@ def enumerate_causets(n: int) -> Iterator[Causet]:
 
 
 def _causet_from_rows(lt: Sequence[int]) -> Causet:
-    labels = [f"e{i}" for i in range(len(lt))]
-    return Causet(labels, tuple(lt))
+    return Causet(_labels(len(lt)), tuple(lt))
+
+
+@cache
+def _labels(n: int) -> tuple[str, ...]:
+    """e0..e{n-1}, one tuple shared by every causet of n elements."""
+    return tuple(f"e{i}" for i in range(n))
 
 
 def count_causets(n: int) -> int:

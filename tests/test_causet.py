@@ -60,6 +60,13 @@ def test_unknown_region_label_rejected(diamond):
         diamond.region(["nope"])
 
 
+@pytest.mark.parametrize("a, b", [("a", "z"), ("z", "b"), ("z", "z")])
+def test_unknown_precedes_label_rejected(a, b):
+    c = validate_causet(["a", "b"], [("a", "b")])
+    with pytest.raises(ForeignRegionError, match="'z'"):
+        c.precedes(a, b)
+
+
 # -- pasts and separation -------------------------------------------------------
 
 

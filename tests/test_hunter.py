@@ -239,6 +239,85 @@ def test_representatives_are_pinned():
     assert digests == REPRESENTATIVE_DIGESTS
 
 
+# sha256 of repr([r.automorphisms for r in _representatives(n)]) for n = 1..8,
+# as first enumerated: the generators are read off the search's leaves and
+# moved to the form's positions, so they pin the search's order too
+GENERATOR_DIGESTS = [
+    "b18a48f02566e6150fce7a3ece72478f44afc0341489d43f01f25f0351984bab",
+    "81ec13b4aea2327c93f881d88af416c26dd485224df64bfb6855ba301176f6f6",
+    "68021510483df4939032d0a32fa8ddc10c7e2314eea5e5bb34955ead99e69362",
+    "70e26976a1f9e41e9d04f20bf27921d418c3717a8a6f3369351686a291fa3b30",
+    "86e31cb4ce53bb14c112b7bb6b7c5cacb24fbbf12cbf5076df5d2a08f26f78ac",
+    "a28aaf1a1b666373feee55ba271c448ceab813570edc6426e0f01578767ce9b6",
+    "363236028c9a400e2b4db414cfe3f261e7fd68032c3f045a4433a0e84668ac68",
+    "713a5faae974d153914a12522612654b5ff3826f5282814622037076773269e0",
+]
+
+
+def test_eight_element_enumeration_is_pinned(monkeypatch):
+    # n = 8 is the only enumerated size whose masks reach the upper half of
+    # the search's byte tables (128 to 255); 16,999 classes (OEIS A000112)
+    calls = [0]
+
+    def counted(lt):
+        calls[0] += 1
+        return canonical_form(lt)
+
+    monkeypatch.setattr(hunter, "canonical_form", counted)
+    monkeypatch.setattr(hunter, "_reps_cache", {})
+    reps = _representatives(8)
+    assert len(reps) == 16999
+    assert calls[0] == 21388
+    assert hashlib.sha256(repr(reps).encode()).hexdigest() == (
+        "617c8c7d969c1eb148a20b83c6a7c2f3669c11611851532a51a4aa26b0ff8180"
+    )
+    assert [
+        hashlib.sha256(repr([r.automorphisms for r in _representatives(n)]).encode()).hexdigest()
+        for n in range(1, 9)
+    ] == GENERATOR_DIGESTS
+
+
+def _random_order(n, rng, p):
+    """A seeded closed strict order on n elements, each pair i < j related
+    with probability p before closing."""
+    rows = [0] * n
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                rows[i] |= 1 << j | rows[j]
+    return rows
+
+
+def _doubled_order(n, rng):
+    """Two copies of a seeded order on n // 2 elements side by side, under
+    a top element when n is odd: swapping the copies is an automorphism
+    that no twin swap gives."""
+    half = _random_order(n // 2, rng, 0.4)
+    rows = half + [row << n // 2 for row in half]
+    if n % 2:
+        rows = [row | 1 << n - 1 for row in rows] + [0]
+    return rows
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_canonical_form_on_orders_wider_than_a_byte(n):
+    # above 8 elements the search computes the unary codes and bit lists
+    # its byte tables give below; no enumeration reaches these sizes
+    rng = random.Random(n)
+    orders = [_random_order(n, rng, p) for p in (0.1, 0.2, 0.3) for _ in range(4)]
+    orders += [_doubled_order(n, rng) for _ in range(4)]
+    for rows in orders:
+        form = canonical_form(rows)
+        assert canonical_form(form) == form
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert canonical_form(_relabel(rows, perm)) == form
+        for image in form.automorphisms:
+            assert sorted(image) == list(range(n))
+            assert _relabel(form, image) == form
+
+
 # -- measure sampling --------------------------------------------------------------
 
 
